@@ -1,31 +1,19 @@
 /// \file perf_engine.cpp
 /// Engine microbenchmarks: the `mobsrv_perf` binary.
 ///
-/// Measures steps/second of the simulation core and pins the SoA refactor's
-/// speedup to a number:
-///   * engine/aos_baseline     — a frozen copy of the PRE-refactor inner loop
-///                               (vector<RequestBatch> of 72-byte Points,
-///                               Point-arithmetic service costs);
+/// Measures steps/second of each layer of the engine and service:
 ///   * engine/session_soa      — sim::Session streaming BatchViews over the
 ///                               flat RequestStore (the current hot path);
 ///   * engine/run_wrapper      — sim::run(), showing the wrapper adds nothing;
 ///   * mux/drain               — core::SessionMultiplexer throughput over
 ///                               many concurrent sessions;
-///   * fleet/copy_baseline     — a frozen copy of the pre-redesign k-server
-///                               loop (per-step servers-vector copy in the
-///                               step view, decide() returning a fresh
-///                               vector);
 ///   * fleet/session           — the unified fleet Session (span-based
-///                               FleetStepView, in-place proposals): the
-///                               k-server hot loop after the redesign.
-///   * solver/descent_aos_baseline — a frozen copy of the PRE-refactor
-///                               convex-descent offline solver (AoS
-///                               vector<Point> trajectories, Point-temporary
-///                               gradient math, fresh clamp/cost vectors per
-///                               iteration);
-///   * solver/descent_soa      — the same solve on flat TrajectoryStore
-///                               buffers with dimension-specialized kernels
-///                               and a zero-allocation iteration loop;
+///                               FleetStepView, in-place proposals) with a
+///                               parked fleet: the k-server loop overhead;
+///   * solver/descent_soa      — the convex-descent offline solver on flat
+///                               TrajectoryStore buffers with
+///                               dimension-specialized kernels and a
+///                               zero-allocation iteration loop;
 ///   * solver/grid_dp          — the 1-D DP oracle (flat request scan,
 ///                               caller-owned service-cost scratch);
 ///   * serve/ingest            — the live-ingestion soak: an NDJSON script
@@ -59,19 +47,15 @@
 ///                               every few rounds; ckpt_bytes is the encode
 ///                               throughput and dirty_per_save shows the
 ///                               save cost tracking progress, not population.
-/// Each engine benchmark runs at dim 1, 2 and 8 so the dead-coordinate cost
-/// of the AoS layout is visible: at dim 1 the old layout reads 72 bytes per
-/// request for 8 useful ones. Solver benchmarks run at dim 1 and 2 (the
-/// paper's embedding dimensions, where e11 lives); the acceptance bar for
-/// the trajectory refactor is descent_soa/dim:1 >= 2x descent_aos_baseline.
+/// Each engine benchmark runs at dim 1, 2 and 8; solver benchmarks run at
+/// dim 1 and 2 (the paper's embedding dimensions, where e11 lives).
 ///
 ///   mobsrv_perf                         # full measurement
 ///   mobsrv_perf --smoke                 # small workloads, short timings (CI)
 ///   mobsrv_perf --out=BENCH_perf.json   # also write google-benchmark JSON
 ///   mobsrv_perf --benchmark_filter=...  # forwarded to google-benchmark
 ///
-/// The per-second `steps` counter is the comparison metric; the acceptance
-/// bar for the refactor is session_soa/dim:1 >= 2x aos_baseline/dim:1.
+/// The per-second `steps` counter is the comparison metric.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -80,7 +64,6 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -102,57 +85,16 @@ namespace par = mobsrv::par;
 namespace stats = mobsrv::stats;
 
 // ---------------------------------------------------------------------------
-// Frozen pre-refactor baseline. This reproduces the seed engine verbatim:
-// AoS request storage, Point-temporary distance math in the service-cost
-// accumulation, and virtual dispatch into the policy — so the comparison
-// against sim::Session isolates the storage layout, not the harness.
-// ---------------------------------------------------------------------------
-
-struct AosWorkload {
-  Point start;
-  sim::ModelParams params;
-  std::vector<sim::RequestBatch> steps;  // the old nested layout
-};
-
-struct AosPolicy {
-  virtual ~AosPolicy() = default;
-  virtual Point decide(const sim::RequestBatch& batch, const Point& server) = 0;
-};
-
-/// Never moves — the accounting loop dominates, which is what we measure.
-struct AosLazy final : AosPolicy {
-  Point decide(const sim::RequestBatch&, const Point& server) override { return server; }
-};
-
-double run_aos(const AosWorkload& workload, AosPolicy& policy) {
-  const sim::ModelParams& params = workload.params;
-  Point server = workload.start;
-  double move_cost = 0.0, service_cost = 0.0;
-  for (const sim::RequestBatch& batch : workload.steps) {
-    const Point proposal = policy.decide(batch, server);
-    move_cost += params.move_cost_weight * mobsrv::geo::distance(server, proposal);
-    const Point& serve_from =
-        params.order == sim::ServiceOrder::kMoveThenServe ? proposal : server;
-    double s = 0.0;
-    for (const auto& v : batch.requests) s += mobsrv::geo::distance(serve_from, v);
-    service_cost += s;
-    server = proposal;
-  }
-  return move_cost + service_cost;
-}
-
-// ---------------------------------------------------------------------------
 // Shared workload generation (identical request streams for every variant).
 // ---------------------------------------------------------------------------
 
-AosWorkload make_workload(int dim, std::size_t horizon, std::size_t requests_per_step) {
+sim::Instance make_workload(int dim, std::size_t horizon, std::size_t requests_per_step) {
   stats::Rng rng({0xBE7Cu, static_cast<std::uint64_t>(dim)});
-  AosWorkload workload;
-  workload.start = Point::zero(dim);
-  workload.params.move_cost_weight = 4.0;
-  workload.params.max_step = 1.0;
-  workload.steps.resize(horizon);
-  for (auto& step : workload.steps) {
+  sim::ModelParams params;
+  params.move_cost_weight = 4.0;
+  params.max_step = 1.0;
+  std::vector<sim::RequestBatch> steps(horizon);
+  for (auto& step : steps) {
     step.requests.reserve(requests_per_step);
     for (std::size_t i = 0; i < requests_per_step; ++i) {
       Point v(dim);
@@ -160,11 +102,7 @@ AosWorkload make_workload(int dim, std::size_t horizon, std::size_t requests_per
       step.requests.push_back(v);
     }
   }
-  return workload;
-}
-
-sim::Instance to_instance(const AosWorkload& workload) {
-  return sim::Instance(workload.start, workload.params, workload.steps);
+  return sim::Instance(Point::zero(dim), params, steps);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,18 +128,9 @@ void set_throughput(benchmark::State& state, const Sizes& sizes) {
       benchmark::Counter::kIsRate);
 }
 
-void BM_AosBaseline(benchmark::State& state, Sizes sizes) {
-  const auto dim = static_cast<int>(state.range(0));
-  const AosWorkload workload = make_workload(dim, sizes.horizon, sizes.requests_per_step);
-  AosLazy lazy;
-  for (auto _ : state) benchmark::DoNotOptimize(run_aos(workload, lazy));
-  set_throughput(state, sizes);
-}
-
 void BM_SessionSoa(benchmark::State& state, Sizes sizes) {
   const auto dim = static_cast<int>(state.range(0));
-  const sim::Instance instance =
-      to_instance(make_workload(dim, sizes.horizon, sizes.requests_per_step));
+  const sim::Instance instance = make_workload(dim, sizes.horizon, sizes.requests_per_step);
   sim::RunOptions options;
   options.record_positions = false;  // a streaming tenant keeps no history
   for (auto _ : state) {
@@ -215,8 +144,7 @@ void BM_SessionSoa(benchmark::State& state, Sizes sizes) {
 
 void BM_RunWrapper(benchmark::State& state, Sizes sizes) {
   const auto dim = static_cast<int>(state.range(0));
-  const sim::Instance instance =
-      to_instance(make_workload(dim, sizes.horizon, sizes.requests_per_step));
+  const sim::Instance instance = make_workload(dim, sizes.horizon, sizes.requests_per_step);
   for (auto _ : state) {
     mobsrv::alg::Lazy lazy;
     const sim::RunResult result = sim::run(instance, lazy);
@@ -227,8 +155,8 @@ void BM_RunWrapper(benchmark::State& state, Sizes sizes) {
 
 void BM_MuxDrain(benchmark::State& state, Sizes sizes) {
   const auto threads = static_cast<unsigned>(state.range(0));
-  const auto workload = std::make_shared<const sim::Instance>(
-      to_instance(make_workload(1, sizes.mux_horizon, 4)));
+  const auto workload =
+      std::make_shared<const sim::Instance>(make_workload(1, sizes.mux_horizon, 4));
   par::ThreadPool pool(threads);
   for (auto _ : state) {
     core::SessionMultiplexer mux(pool);
@@ -248,55 +176,9 @@ void BM_MuxDrain(benchmark::State& state, Sizes sizes) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet engine: frozen pre-redesign loop vs the unified fleet Session.
-// The baseline reproduces the seed ext::run_multi engine verbatim — its step
-// view OWNED a std::vector<Point> copy of the fleet and decide() returned a
-// fresh vector, so every step paid two O(k) allocations/copies before any
-// real work. The redesigned engine hands out spans and writes proposals in
-// place; a parked fleet isolates exactly that overhead.
+// Fleet engine: the unified fleet Session with a parked fleet, so the
+// per-step overhead of the k-server loop is what is measured.
 // ---------------------------------------------------------------------------
-
-struct FrozenFleetView {
-  std::size_t t = 0;
-  sim::BatchView batch;
-  std::vector<Point> servers;  // the old copying layout
-  double speed_limit = 0.0;
-  const sim::ModelParams* params = nullptr;
-};
-
-struct FrozenFleetPolicy {
-  virtual ~FrozenFleetPolicy() = default;
-  virtual std::vector<Point> decide(const FrozenFleetView& view) = 0;
-};
-
-struct FrozenFleetStatic final : FrozenFleetPolicy {
-  std::vector<Point> decide(const FrozenFleetView& view) override { return view.servers; }
-};
-
-double run_frozen_fleet(const sim::Instance& instance, std::vector<Point> starts,
-                        FrozenFleetPolicy& policy) {
-  const sim::ModelParams& params = instance.params();
-  const double limit = params.max_step;
-  std::vector<Point> servers = std::move(starts);
-  double move_cost = 0.0, service_cost = 0.0;
-  for (std::size_t t = 0; t < instance.horizon(); ++t) {
-    FrozenFleetView view;
-    view.t = t;
-    view.batch = instance.step(t);
-    view.servers = servers;  // the per-step copy the redesign removed
-    view.speed_limit = limit;
-    view.params = &params;
-    std::vector<Point> proposals = policy.decide(view);
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      const Point next = mobsrv::geo::move_toward(servers[i], proposals[i], limit);
-      move_cost += params.move_cost_weight * mobsrv::geo::distance(servers[i], next);
-      servers[i] = next;
-    }
-    service_cost += mobsrv::sim::nearest_service_cost({servers.data(), servers.size()},
-                                                      instance.step(t));
-  }
-  return move_cost + service_cost;
-}
 
 std::vector<Point> fleet_starts(const sim::Instance& instance, int k) {
   std::vector<Point> starts;
@@ -309,21 +191,9 @@ std::vector<Point> fleet_starts(const sim::Instance& instance, int k) {
   return starts;
 }
 
-void BM_FleetCopyBaseline(benchmark::State& state, Sizes sizes) {
-  const auto k = static_cast<int>(state.range(0));
-  const sim::Instance instance =
-      to_instance(make_workload(2, sizes.horizon, sizes.requests_per_step));
-  const std::vector<Point> starts = fleet_starts(instance, k);
-  FrozenFleetStatic parked;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_frozen_fleet(instance, starts, parked));
-  set_throughput(state, sizes);
-}
-
 void BM_FleetSession(benchmark::State& state, Sizes sizes) {
   const auto k = static_cast<int>(state.range(0));
-  const sim::Instance instance =
-      to_instance(make_workload(2, sizes.horizon, sizes.requests_per_step));
+  const sim::Instance instance = make_workload(2, sizes.horizon, sizes.requests_per_step);
   const std::vector<Point> starts = fleet_starts(instance, k);
   sim::RunOptions options;
   options.policy = sim::SpeedLimitPolicy::kClamp;
@@ -338,150 +208,9 @@ void BM_FleetSession(benchmark::State& state, Sizes sizes) {
 }
 
 // ---------------------------------------------------------------------------
-// Offline solver: frozen pre-refactor convex descent vs the flat-buffer
-// solver. The baseline reproduces the seed solver verbatim — trajectories as
-// vector<Point> (72 bytes/position), Point-temporary arithmetic in the
-// gradient/projection loops, and a fresh clamp vector + cost pass allocated
-// every iteration — so the comparison isolates the trajectory storage
-// refactor, not solver logic: both sides run the identical operation
-// sequence (including the final reachability_lower_bound pass).
-// tests/test_offline_parity.cpp freezes this same pre-refactor
-// implementation and asserts the library solver reproduces it bit-
-// identically.
+// Offline solvers: convex descent on flat TrajectoryStore buffers and the
+// 1-D grid DP.
 // ---------------------------------------------------------------------------
-
-namespace frozen_descent {
-
-namespace med = mobsrv::med;
-namespace opt = mobsrv::opt;
-namespace geo = mobsrv::geo;
-
-std::size_t serve_index(const sim::ModelParams& params, std::size_t t) {
-  return params.order == sim::ServiceOrder::kMoveThenServe ? t + 1 : t;
-}
-
-std::vector<Point> chase_init(const sim::Instance& instance, bool damped) {
-  std::vector<Point> x;
-  x.reserve(instance.horizon() + 1);
-  x.push_back(instance.start());
-  const double m = instance.params().max_step;
-  const double D = instance.params().move_cost_weight;
-  std::vector<Point> reqs;
-  for (std::size_t t = 0; t < instance.horizon(); ++t) {
-    const sim::BatchView batch = instance.step(t);
-    if (batch.empty()) {
-      x.push_back(x.back());
-      continue;
-    }
-    batch.copy_to(reqs);
-    const Point center = med::closest_center(reqs, x.back());
-    double step = m;
-    if (damped) {
-      const double dist = geo::distance(x.back(), center);
-      step = std::min(m, dist * std::min(1.0, static_cast<double>(reqs.size()) / D));
-    }
-    x.push_back(geo::move_toward(x.back(), center, step));
-  }
-  return x;
-}
-
-std::vector<Point> forward_clamp(const sim::Instance& instance, const std::vector<Point>& x) {
-  std::vector<Point> y(x.size());
-  y[0] = instance.start();
-  const double m = instance.params().max_step;
-  for (std::size_t t = 0; t + 1 < x.size(); ++t) y[t + 1] = geo::move_toward(y[t], x[t + 1], m);
-  return y;
-}
-
-Point smooth_norm_grad(const Point& u, double mu) {
-  return u / std::sqrt(u.norm2() + mu * mu);
-}
-
-void gradient(const sim::Instance& instance, const std::vector<Point>& x, double mu,
-              std::vector<Point>& grad) {
-  const auto& params = instance.params();
-  const double D = params.move_cost_weight;
-  for (auto& g : grad) g = Point::zero(instance.dim());
-
-  for (std::size_t t = 0; t < instance.horizon(); ++t) {
-    const Point move_grad = smooth_norm_grad(x[t + 1] - x[t], mu) * D;
-    grad[t + 1] += move_grad;
-    if (t > 0) grad[t] -= move_grad;
-
-    const std::size_t s = serve_index(params, t);
-    if (s == 0) continue;
-    for (const Point v : instance.step(t)) grad[s] += smooth_norm_grad(x[s] - v, mu);
-  }
-}
-
-void projection_sweeps(std::vector<Point>& x, double m, int sweeps) {
-  const std::size_t n = x.size();
-  for (int s = 0; s < sweeps; ++s) {
-    for (std::size_t t = 0; t + 1 < n; ++t) {
-      const double d = geo::distance(x[t], x[t + 1]);
-      if (d <= m || d == 0.0) continue;
-      const double excess = d - m;
-      const Point dir = (x[t + 1] - x[t]) / d;
-      if (t == 0) {
-        x[t + 1] -= dir * excess;
-      } else {
-        x[t] += dir * (excess / 2.0);
-        x[t + 1] -= dir * (excess / 2.0);
-      }
-    }
-  }
-}
-
-double solve(const sim::Instance& instance, const opt::ConvexDescentOptions& options) {
-  const double m = instance.params().max_step;
-  const double mu = options.smoothing * m;
-
-  double best_cost = 0.0;
-  std::vector<Point> best_positions;
-  if (instance.horizon() == 0) return 0.0;
-
-  std::vector<std::vector<Point>> candidates;
-  candidates.push_back(chase_init(instance, /*damped=*/false));
-  candidates.push_back(chase_init(instance, /*damped=*/true));
-
-  std::vector<Point> x;
-  best_cost = std::numeric_limits<double>::infinity();
-  for (auto& candidate : candidates) {
-    std::vector<Point> feasible = forward_clamp(instance, candidate);
-    const double cost =
-        sim::trajectory_cost(instance, std::span<const Point>(feasible));
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_positions = std::move(feasible);
-      x = std::move(candidate);
-    }
-  }
-
-  const double r_max = static_cast<double>(instance.request_bounds().second);
-  const double lipschitz = 2.0 * instance.params().move_cost_weight + r_max;
-
-  std::vector<Point> grad(x.size(), Point::zero(instance.dim()));
-  for (int k = 0; k < options.iterations; ++k) {
-    gradient(instance, x, mu, grad);
-    const double step =
-        options.initial_step * m / (lipschitz * std::sqrt(static_cast<double>(k) + 1.0));
-    for (std::size_t t = 1; t < x.size(); ++t) x[t] -= grad[t] * step;
-    projection_sweeps(x, m, options.projection_sweeps);
-    std::vector<Point> candidate = forward_clamp(instance, x);
-    const double cost =
-        sim::trajectory_cost(instance, std::span<const Point>(candidate));
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_positions = std::move(candidate);
-    }
-  }
-  // The production solver ends every solve with this pass; charge it here
-  // too so the benchmarked work is identical on both sides.
-  benchmark::DoNotOptimize(opt::reachability_lower_bound(instance));
-  return best_cost;
-}
-
-}  // namespace frozen_descent
 
 /// Descent iterations per solve: enough for the step schedule and
 /// improvement bookkeeping to matter, small enough that one solve is a
@@ -499,20 +228,9 @@ void set_solver_throughput(benchmark::State& state, const Sizes& sizes, int iter
       benchmark::Counter::kIsRate);
 }
 
-void BM_DescentAosBaseline(benchmark::State& state, Sizes sizes) {
-  const auto dim = static_cast<int>(state.range(0));
-  const sim::Instance instance =
-      to_instance(make_workload(dim, sizes.horizon, sizes.requests_per_step));
-  mobsrv::opt::ConvexDescentOptions options;
-  options.iterations = kDescentIterations;
-  for (auto _ : state) benchmark::DoNotOptimize(frozen_descent::solve(instance, options));
-  set_solver_throughput(state, sizes, kDescentIterations);
-}
-
 void BM_DescentSoa(benchmark::State& state, Sizes sizes) {
   const auto dim = static_cast<int>(state.range(0));
-  const sim::Instance instance =
-      to_instance(make_workload(dim, sizes.horizon, sizes.requests_per_step));
+  const sim::Instance instance = make_workload(dim, sizes.horizon, sizes.requests_per_step);
   mobsrv::opt::ConvexDescentOptions options;
   options.iterations = kDescentIterations;
   for (auto _ : state)
@@ -521,8 +239,7 @@ void BM_DescentSoa(benchmark::State& state, Sizes sizes) {
 }
 
 void BM_GridDp(benchmark::State& state, Sizes sizes) {
-  const sim::Instance instance =
-      to_instance(make_workload(1, sizes.horizon, sizes.requests_per_step));
+  const sim::Instance instance = make_workload(1, sizes.horizon, sizes.requests_per_step);
   for (auto _ : state)
     benchmark::DoNotOptimize(mobsrv::opt::solve_grid_dp_1d(instance).solution.cost);
   const auto steps = static_cast<std::int64_t>(state.iterations() * sizes.horizon);
@@ -600,8 +317,8 @@ void BM_ServeIngest(benchmark::State& state, Sizes sizes) {
 
 void BM_ObsOverhead(benchmark::State& state, Sizes sizes) {
   const bool lean = state.range(0) != 0;
-  const auto workload = std::make_shared<const sim::Instance>(
-      to_instance(make_workload(1, sizes.mux_horizon, 4)));
+  const auto workload =
+      std::make_shared<const sim::Instance>(make_workload(1, sizes.mux_horizon, 4));
   par::ThreadPool pool(1);
   for (auto _ : state) {
     core::SessionMultiplexer mux(pool);
@@ -681,8 +398,7 @@ void BM_FaultHookOverhead(benchmark::State& state, Sizes sizes) {
 }
 
 void BM_EngineStepLatency(benchmark::State& state, Sizes sizes) {
-  const sim::Instance instance =
-      to_instance(make_workload(1, sizes.horizon, sizes.requests_per_step));
+  const sim::Instance instance = make_workload(1, sizes.horizon, sizes.requests_per_step);
   mobsrv::obs::Histogram latency;
   sim::RunOptions options;
   options.record_positions = false;
@@ -711,8 +427,8 @@ constexpr std::size_t kSoakHotStride = 100;  // 1% of the population is hot
 constexpr std::size_t kSoakSaveEvery = 32;   // rounds between incremental saves
 
 struct SoakSources {
-  AosWorkload hot;
-  AosWorkload cold;
+  sim::Instance hot;
+  sim::Instance cold;
 };
 
 SoakSources make_soak_sources(std::size_t horizon) {
@@ -727,8 +443,8 @@ SoakSources make_soak_sources(std::size_t horizon) {
 /// sweep's horizon check dereferences per-slot memory, exactly what the
 /// pre-refactor scheduler paid on every visit.
 std::shared_ptr<const sim::Instance> soak_instance(const SoakSources& sources, std::size_t s) {
-  return std::make_shared<const sim::Instance>(
-      to_instance(s % kSoakHotStride == 0 ? sources.hot : sources.cold));
+  return std::make_shared<const sim::Instance>(s % kSoakHotStride == 0 ? sources.hot
+                                                                        : sources.cold);
 }
 
 std::size_t soak_steps(const Sizes& sizes) {
@@ -939,18 +655,14 @@ int main(int argc, char** argv) {
     flags.push_back("--benchmark_out_format=json");
   }
 
-  // Full runs size the hot loop well past L2 so the AoS-vs-SoA comparison is
-  // a memory-bandwidth statement, not a cache accident; smoke runs just
-  // prove the binary and its JSON artifact end-to-end.
+  // Full runs size the hot loop well past L2 so the engine rows measure
+  // memory bandwidth, not a cache accident; smoke runs just prove the binary
+  // and its JSON artifact end-to-end.
   const Sizes sizes =
       smoke ? Sizes{64, 16, 256, 16, 100'000, 256} : Sizes{512, 64, 2048, 64, 1'000'000, 1024};
   const double min_time = smoke ? 0.02 : 0.25;
 
   for (const int dim : {1, 2, 8}) {
-    benchmark::RegisterBenchmark("engine/aos_baseline", BM_AosBaseline, sizes)
-        ->Arg(dim)
-        ->ArgName("dim")
-        ->MinTime(min_time);
     benchmark::RegisterBenchmark("engine/session_soa", BM_SessionSoa, sizes)
         ->Arg(dim)
         ->ArgName("dim")
@@ -961,20 +673,12 @@ int main(int argc, char** argv) {
         ->MinTime(min_time);
   }
   for (const int k : {4, 16}) {
-    benchmark::RegisterBenchmark("fleet/copy_baseline", BM_FleetCopyBaseline, sizes)
-        ->Arg(k)
-        ->ArgName("k")
-        ->MinTime(min_time);
     benchmark::RegisterBenchmark("fleet/session", BM_FleetSession, sizes)
         ->Arg(k)
         ->ArgName("k")
         ->MinTime(min_time);
   }
   for (const int dim : {1, 2}) {
-    benchmark::RegisterBenchmark("solver/descent_aos_baseline", BM_DescentAosBaseline, sizes)
-        ->Arg(dim)
-        ->ArgName("dim")
-        ->MinTime(min_time);
     benchmark::RegisterBenchmark("solver/descent_soa", BM_DescentSoa, sizes)
         ->Arg(dim)
         ->ArgName("dim")

@@ -15,10 +15,10 @@ int main(int argc, char** argv) {
   const auto seed = args.get_uint64("seed", 7);
   const std::string out = args.get_string("out", "trace_replay_demo.jsonl");
 
-  // 1. Build a corpus scenario and record the paper's algorithm on it.
+  // 1. Build a starter scenario and record the paper's algorithm on it.
   //    Everything — instance, parameters, the run's exact costs — lands in
   //    one serializable TraceFile.
-  trace::TraceFile recorded = trace::make_corpus_trace(scenario, seed, 0.25);
+  trace::TraceFile recorded = scenario::starter_trace(scenario, seed, 0.25);
   recorded.runs.push_back(trace::record_run(recorded.instance, "MtC", seed, 1.5));
   trace::write_trace(out, recorded);
   std::cout << "recorded '" << scenario << "' (T = " << recorded.instance.horizon() << ") with "

@@ -40,7 +40,7 @@
 #include "trace/batch_runner.hpp"         // IWYU pragma: export
 #include "trace/checkpoint.hpp"           // IWYU pragma: export
 #include "trace/codec.hpp"                // IWYU pragma: export
-#include "trace/corpus.hpp"               // IWYU pragma: export
+#include "trace/importers.hpp"            // IWYU pragma: export
 #include "trace/recorder.hpp"             // IWYU pragma: export
 #include "trace/replay.hpp"               // IWYU pragma: export
 #include "trace/trace.hpp"                // IWYU pragma: export

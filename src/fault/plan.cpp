@@ -1,5 +1,6 @@
 #include "fault/plan.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <initializer_list>
@@ -11,34 +12,20 @@ namespace mobsrv::fault {
 namespace {
 
 using io::Json;
+using io::quoted;
 
 [[noreturn]] void fail(const std::string& ctx, const std::string& message) {
   throw PlanError(ctx + ": " + message);
 }
 
-std::string quoted(const char* key) {
-  std::string out = "\"";
-  out += key;
-  out += '"';
-  return out;
-}
-
 /// The scenario-validator allowlist discipline: every member must be named,
 /// and the error enumerates what IS allowed — the plan author's only
 /// feedback channel is this message.
-void reject_unknown_members(const Json& obj, std::initializer_list<const char*> allowed,
+void reject_unknown_members(const Json& obj, std::initializer_list<std::string_view> allowed,
                             const std::string& what, const std::string& ctx) {
-  for (const Json::Member& member : obj.as_object()) {
-    bool ok = false;
-    for (const char* key : allowed) ok = ok || member.first == key;
-    if (ok) continue;
-    std::string list;
-    for (const char* key : allowed) {
-      if (!list.empty()) list += ", ";
-      list += key;
-    }
-    fail(ctx, "unknown member \"" + member.first + "\" in " + what + " (allowed: " + list + ")");
-  }
+  if (const Json::Member* member = io::find_unknown_member(obj, allowed))
+    fail(ctx, "unknown member \"" + member->first + "\" in " + what +
+                  " (allowed: " + io::join_names(allowed) + ")");
 }
 
 std::uint64_t uint_field(const Json& obj, const char* key, std::uint64_t fallback,
@@ -82,16 +69,10 @@ SiteRule parse_rule(const Json& obj, const std::string& ctx) {
   if (site == nullptr) fail(ctx, "missing required member \"site\"");
   if (!site->is_string()) fail(ctx, "\"site\" must be a string");
   rule.site = site->as_string();
-  bool known = false;
-  for (const std::string& name : known_sites()) known = known || name == rule.site;
-  if (!known) {
-    std::string list;
-    for (const std::string& name : known_sites()) {
-      if (!list.empty()) list += ", ";
-      list += name;
-    }
-    fail(ctx, "unknown fault site \"" + rule.site + "\" (known sites: " + list + ")");
-  }
+  const std::vector<std::string>& sites = known_sites();
+  if (std::find(sites.begin(), sites.end(), rule.site) == sites.end())
+    fail(ctx, "unknown fault site \"" + rule.site + "\" (known sites: " + io::join_names(sites) +
+                  ")");
   rule.nth = uint_field(obj, "nth", 0, ctx);
   rule.every = uint_field(obj, "every", 0, ctx);
   rule.probability = probability_field(obj, "probability", ctx);

@@ -133,6 +133,16 @@ Json& Json::push_back(Json value) {
   return *this;
 }
 
+const Json::Member* find_unknown_member(const Json& obj,
+                                        std::span<const std::string_view> allowed) {
+  for (const Json::Member& member : obj.as_object()) {
+    bool known = false;
+    for (const std::string_view key : allowed) known = known || member.first == key;
+    if (!known) return &member;
+  }
+  return nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // Serialisation.
 // ---------------------------------------------------------------------------

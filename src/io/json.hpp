@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -116,6 +118,37 @@ class Json {
                Object>
       value_;
 };
+
+/// The allowlist check behind every strict JSON reader (scenario files,
+/// fault plans, serve frames): the first member of object \p obj whose key
+/// is not in \p allowed, or nullptr when all are. It never allocates, so a
+/// per-frame parser can afford it; each caller words its own error.
+[[nodiscard]] const Json::Member* find_unknown_member(const Json& obj,
+                                                      std::span<const std::string_view> allowed);
+[[nodiscard]] inline const Json::Member* find_unknown_member(
+    const Json& obj, std::initializer_list<std::string_view> allowed) {
+  return find_unknown_member(obj, std::span(allowed.begin(), allowed.size()));
+}
+
+/// \p names joined as "a, b, c": the "(allowed: ...)" tail of allowlist
+/// errors.
+template <class Names>
+[[nodiscard]] std::string join_names(const Names& names) {
+  std::string out;
+  for (const auto& name : names) {
+    if (!out.empty()) out += ", ";
+    out += name;
+  }
+  return out;
+}
+
+/// \p key wrapped in double quotes, for error messages.
+[[nodiscard]] inline std::string quoted(std::string_view key) {
+  std::string out = "\"";
+  out += key;
+  out += '"';
+  return out;
+}
 
 /// Appends the shortest decimal form of \p v that parses back to exactly
 /// the same double ("0.1", "1e+300", "-0.0"). Throws ContractViolation for

@@ -3,52 +3,41 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <initializer_list>
+#include <functional>
 #include <iterator>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "adversary/lower_bounds.hpp"
 #include "adversary/mobility.hpp"
 #include "adversary/moving_client_lb.hpp"
 #include "adversary/workloads.hpp"
+#include "common/contracts.hpp"
 #include "stats/rng.hpp"
-#include "trace/corpus.hpp"
+#include "trace/importers.hpp"
 
 namespace mobsrv::scenario {
 
 namespace {
 
 using io::Json;
+using io::quoted;
+using Steps = std::vector<std::vector<sim::Point>>;
 
 [[noreturn]] void fail(const std::string& ctx, const std::string& message) {
   throw ScenarioError(ctx + ": " + message);
-}
-
-std::string quoted(const char* key) {
-  std::string out;
-  out += '"';
-  out += key;
-  out += '"';
-  return out;
 }
 
 /// The frames-layer allowlist discipline: every member of \p obj must be
 /// named in \p allowed, so typos fail loudly instead of silently running
 /// defaults. The error enumerates the allowed members — a scenario author's
 /// only feedback channel is this message.
-void reject_unknown_members(const Json& obj, std::initializer_list<const char*> allowed,
+void reject_unknown_members(const Json& obj, std::span<const std::string_view> allowed,
                             const std::string& what, const std::string& ctx) {
-  for (const Json::Member& member : obj.as_object()) {
-    bool ok = false;
-    for (const char* key : allowed) ok = ok || member.first == key;
-    if (ok) continue;
-    std::string list;
-    for (const char* key : allowed) {
-      if (!list.empty()) list += ", ";
-      list += key;
-    }
-    fail(ctx, "unknown member \"" + member.first + "\" in " + what + " (allowed: " + list + ")");
-  }
+  if (const Json::Member* member = io::find_unknown_member(obj, allowed))
+    fail(ctx, "unknown member \"" + member->first + "\" in " + what +
+                  " (allowed: " + io::join_names(allowed) + ")");
 }
 
 const Json& require(const Json& obj, const char* key, const std::string& ctx) {
@@ -57,83 +46,72 @@ const Json& require(const Json& obj, const char* key, const std::string& ctx) {
   return *value;
 }
 
-double double_field(const Json& obj, const char* key, double fallback, const std::string& ctx) {
-  const Json* value = obj.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->is_number()) fail(ctx, quoted(key) + " must be a number");
-  const double v = value->as_double();
-  if (!std::isfinite(v)) fail(ctx, quoted(key) + " must be finite");
-  return v;
+std::string string_value(const Json& value, const std::string& key, const std::string& ctx) {
+  if (!value.is_string()) fail(ctx, key + " must be a string");
+  if (value.as_string().empty()) fail(ctx, key + " must not be empty");
+  return value.as_string();
 }
 
-double double_at_least(const Json& obj, const char* key, double fallback, double min,
-                       const std::string& ctx) {
-  const double v = double_field(obj, key, fallback, ctx);
-  if (v < min) fail(ctx, quoted(key) + " must be >= " + std::to_string(min));
-  return v;
-}
+/// How a parameter's value is checked. Every rule names its value type:
+/// the count rules and kDim are integers, kOrder/kPoint/kFile/kSteps have
+/// their own types, the rest are finite reals.
+enum class Rule {
+  kCount,     ///< integer in [0, kMaxRounds]
+  kCountPos,  ///< integer in [1, kMaxRounds]
+  kDim,       ///< integer in [1, Point::kMaxDim]
+  kNonNeg,    ///< real >= 0
+  kAtLeast1,  ///< real >= 1
+  kPos,       ///< real > 0
+  kUnit,      ///< real in [0, 1]
+  kFrac,      ///< real in (0, 1]
+  kOrder,     ///< "move-then-serve" or "serve-then-move"
+  kPoint,     ///< 1..kMaxDim finite coordinates
+  kFile,      ///< non-empty CSV path
+  kSteps,     ///< inline request batches
+};
 
-double double_above(const Json& obj, const char* key, double fallback, double min,
-                    const std::string& ctx) {
-  const double v = double_field(obj, key, fallback, ctx);
-  if (v <= min) fail(ctx, quoted(key) + " must be > " + std::to_string(min));
-  return v;
-}
-
-double unit_field(const Json& obj, const char* key, double fallback, const std::string& ctx) {
-  const double v = double_field(obj, key, fallback, ctx);
-  if (v < 0.0 || v > 1.0) fail(ctx, quoted(key) + " must be in [0, 1]");
-  return v;
-}
-
-double fraction_field(const Json& obj, const char* key, double fallback, const std::string& ctx) {
-  const double v = double_field(obj, key, fallback, ctx);
-  if (v <= 0.0 || v > 1.0) fail(ctx, quoted(key) + " must be in (0, 1]");
+double real_value(const Json& value, Rule rule, const std::string& key, const std::string& ctx) {
+  if (!value.is_number()) fail(ctx, key + " must be a number");
+  const double v = value.as_double();
+  if (!std::isfinite(v)) fail(ctx, key + " must be finite");
+  if (rule == Rule::kNonNeg && v < 0.0) fail(ctx, key + " must be >= " + std::to_string(0.0));
+  if (rule == Rule::kAtLeast1 && v < 1.0) fail(ctx, key + " must be >= " + std::to_string(1.0));
+  if (rule == Rule::kPos && v <= 0.0) fail(ctx, key + " must be > " + std::to_string(0.0));
+  if (rule == Rule::kUnit && (v < 0.0 || v > 1.0)) fail(ctx, key + " must be in [0, 1]");
+  if (rule == Rule::kFrac && (v <= 0.0 || v > 1.0)) fail(ctx, key + " must be in (0, 1]");
   return v;
 }
 
 /// Integer-valued member in [min, kMaxRounds] — the shared ceiling keeps a
 /// pasted wall-clock timestamp from dense-allocating terabytes.
-std::size_t count_field(const Json& obj, const char* key, std::size_t fallback, std::size_t min,
+std::size_t count_value(const Json& value, std::size_t min, const std::string& key,
                         const std::string& ctx) {
-  const Json* value = obj.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->is_number()) fail(ctx, quoted(key) + " must be a number");
+  if (!value.is_number()) fail(ctx, key + " must be a number");
   std::uint64_t v = 0;
   try {
-    v = value->as_uint64();
+    v = value.as_uint64();
   } catch (const io::JsonError&) {
-    fail(ctx, quoted(key) + " must be a non-negative integer");
+    fail(ctx, key + " must be a non-negative integer");
   }
-  if (v < min) fail(ctx, quoted(key) + " must be >= " + std::to_string(min));
-  if (v > kMaxRounds)
-    fail(ctx, quoted(key) + " exceeds the limit of " + std::to_string(kMaxRounds));
+  if (v < min) fail(ctx, key + " must be >= " + std::to_string(min));
+  if (v > kMaxRounds) fail(ctx, key + " exceeds the limit of " + std::to_string(kMaxRounds));
   return static_cast<std::size_t>(v);
 }
 
-int dim_field(const Json& obj, const char* key, int fallback, const std::string& ctx) {
-  const std::size_t v = count_field(obj, key, static_cast<std::size_t>(fallback), 1, ctx);
+int dim_value(const Json& value, const std::string& key, const std::string& ctx) {
+  const std::size_t v = count_value(value, 1, key, ctx);
   if (v > static_cast<std::size_t>(sim::Point::kMaxDim))
-    fail(ctx, quoted(key) + " must be in [1, " + std::to_string(sim::Point::kMaxDim) + "]");
+    fail(ctx, key + " must be in [1, " + std::to_string(sim::Point::kMaxDim) + "]");
   return static_cast<int>(v);
 }
 
-std::string string_field(const Json& obj, const char* key, const std::string& ctx) {
-  const Json& value = require(obj, key, ctx);
-  if (!value.is_string()) fail(ctx, quoted(key) + " must be a string");
-  if (value.as_string().empty()) fail(ctx, quoted(key) + " must not be empty");
-  return value.as_string();
-}
-
-sim::ServiceOrder order_field(const Json& obj, const char* key, sim::ServiceOrder fallback,
-                              const std::string& ctx) {
-  const Json* value = obj.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->is_string()) fail(ctx, quoted(key) + " must be a string");
-  const std::string& s = value->as_string();
-  if (s == "move-then-serve") return sim::ServiceOrder::kMoveThenServe;
-  if (s == "serve-then-move") return sim::ServiceOrder::kServeThenMove;
-  fail(ctx, quoted(key) + " must be \"move-then-serve\" or \"serve-then-move\", got \"" + s + "\"");
+sim::ServiceOrder order_value(const Json& value, const std::string& key, const std::string& ctx) {
+  if (!value.is_string()) fail(ctx, key + " must be a string");
+  const std::optional<sim::ServiceOrder> order = sim::parse_order(value.as_string());
+  if (!order)
+    fail(ctx, key + " must be \"move-then-serve\" or \"serve-then-move\", got \"" +
+                  value.as_string() + "\"");
+  return *order;
 }
 
 sim::Point point_value(const Json& value, const std::string& what, const std::string& ctx) {
@@ -150,131 +128,17 @@ sim::Point point_value(const Json& value, const std::string& what, const std::st
   return p;
 }
 
-/// Kind-appropriate defaults, copied from the generator parameter structs
-/// themselves so the two cannot drift. The mobility kinds additionally pin
-/// the corpus hardcodes (server at unit speed, D = 2) as their defaults.
-ScenarioParams defaults_for(const std::string& kind) {
-  ScenarioParams p;
-  if (kind == "theorem1") {
-    const adv::Theorem1Params d;
-    p.horizon = d.horizon;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.dim = d.dim;
-    p.requests_per_step = d.requests_per_step;
-    p.x = d.x;
-  } else if (kind == "theorem2") {
-    const adv::Theorem2Params d;
-    p.horizon = d.horizon;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.dim = d.dim;
-    p.delta = d.delta;
-    p.r_min = d.r_min;
-    p.r_max = d.r_max;
-    p.x = d.x;
-  } else if (kind == "theorem3") {
-    const adv::Theorem3Params d;
-    p.horizon = d.horizon;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.dim = d.dim;
-    p.requests_per_step = d.requests_per_step;
-  } else if (kind == "theorem8-moving-client") {
-    const adv::Theorem8Params d;
-    p.horizon = d.horizon;
-    p.server_speed = d.server_speed;
-    p.epsilon = d.epsilon;
-    p.move_cost_weight = d.move_cost_weight;
-    p.dim = d.dim;
-    p.x = d.x;
-  } else if (kind == "drifting-hotspot") {
-    const adv::DriftingHotspotParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.drift_speed = d.drift_speed;
-    p.spread = d.spread;
-    p.r_min = d.r_min;
-    p.r_max = d.r_max;
-  } else if (kind == "commute") {
-    const adv::CommuteParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.site_distance = d.site_distance;
-    p.period = d.period;
-    p.spread = d.spread;
-    p.requests_per_step = d.requests_per_step;
-  } else if (kind == "bursts") {
-    const adv::BurstParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.drift_speed = d.drift_speed;
-    p.spread = d.spread;
-    p.r_min = d.r_min;
-    p.r_max = d.r_max;
-    p.burst_probability = d.burst_probability;
-  } else if (kind == "uniform-noise") {
-    const adv::UniformNoiseParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.move_cost_weight = d.move_cost_weight;
-    p.max_step = d.max_step;
-    p.half_width = d.half_width;
-    p.requests_per_step = d.requests_per_step;
-  } else if (kind == "random-waypoint") {
-    const adv::RandomWaypointParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.speed = d.speed;
-    p.half_width = d.half_width;
-    p.max_pause = d.max_pause;
-    p.min_speed_fraction = d.min_speed_fraction;
-    p.move_cost_weight = 2.0;  // the corpus single-agent wrapper's choice
-    p.server_speed = 1.0;
-  } else if (kind == "gauss-markov") {
-    const adv::GaussMarkovParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.speed = d.speed;
-    p.alpha = d.alpha;
-    p.mean_speed_fraction = d.mean_speed_fraction;
-    p.noise_fraction = d.noise_fraction;
-    p.move_cost_weight = 2.0;
-    p.server_speed = 1.0;
-  } else if (kind == "zigzag") {
-    const adv::ZigZagParams d;
-    p.horizon = d.horizon;
-    p.dim = d.dim;
-    p.speed = d.speed;
-    p.half_period = d.half_period;
-    p.move_cost_weight = 2.0;
-    p.server_speed = 1.0;
-  } else if (kind == "demand") {
-    p.move_cost_weight = 1.0;
-    p.max_step = 1.0;
-    p.order = sim::ServiceOrder::kMoveThenServe;
-  } else if (kind == "waypoints") {
-    p.move_cost_weight = 1.0;
-    p.server_speed = 1.0;
-    p.agent_speed = 1.0;
-  }
-  return p;
-}
-
-void parse_inline_steps(const Json& value, ScenarioParams& p, const std::string& ctx) {
+/// Inline demand data; the dimension comes from \p start when one is given,
+/// else from the first request.
+Steps steps_value(const Json& value, const sim::Point& start, const std::string& ctx) {
   if (!value.is_array()) fail(ctx, "\"steps\" must be an array of request batches");
   const Json::Array& steps = value.as_array();
   if (steps.empty()) fail(ctx, "\"steps\" must contain at least one step");
   if (steps.size() > kMaxRounds)
     fail(ctx, "\"steps\" exceeds the limit of " + std::to_string(kMaxRounds) + " rounds");
-  int dim = p.start.empty() ? 0 : p.start.dim();
-  p.steps.reserve(steps.size());
+  int dim = start.empty() ? 0 : start.dim();
+  Steps out;
+  out.reserve(steps.size());
   for (std::size_t t = 0; t < steps.size(); ++t) {
     const std::string where = "\"steps\"[" + std::to_string(t) + "]";
     if (!steps[t].is_array()) fail(ctx, where + " must be an array of points");
@@ -288,208 +152,161 @@ void parse_inline_steps(const Json& value, ScenarioParams& p, const std::string&
                       " coordinates)");
       batch.push_back(std::move(point));
     }
-    p.steps.push_back(std::move(batch));
+    out.push_back(std::move(batch));
   }
   if (dim == 0)
     fail(ctx, "\"steps\" holds no requests and no \"start\" is given — cannot infer the dimension");
-  p.has_inline_steps = true;
+  return out;
 }
 
-ScenarioParams parse_params(const std::string& kind, const Json& obj, const std::string& ctx) {
-  ScenarioParams p = defaults_for(kind);
-  const std::string what = "\"params\" for kind \"" + kind + "\"";
-
-  if (kind == "theorem1" || kind == "theorem3") {
-    reject_unknown_members(obj, {"horizon", "d", "m", "dim", "requests_per_step", "x"}, what, ctx);
-    if (kind == "theorem3" && obj.find("x") != nullptr)
-      fail(ctx, "unknown member \"x\" in " + what +
-                    " (allowed: horizon, d, m, dim, requests_per_step)");
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.requests_per_step = count_field(obj, "requests_per_step", p.requests_per_step, 1, ctx);
-    p.x = count_field(obj, "x", p.x, 0, ctx);
-    return p;
-  }
-  if (kind == "theorem2") {
-    reject_unknown_members(obj, {"horizon", "d", "m", "dim", "delta", "r_min", "r_max", "x"}, what,
-                           ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.delta = double_above(obj, "delta", p.delta, 0.0, ctx);
-    p.r_min = count_field(obj, "r_min", p.r_min, 1, ctx);
-    p.r_max = count_field(obj, "r_max", p.r_max, 1, ctx);
-    if (p.r_max < p.r_min) fail(ctx, "\"r_max\" must be >= \"r_min\"");
-    p.x = count_field(obj, "x", p.x, 0, ctx);
-    return p;
-  }
-  if (kind == "theorem8-moving-client") {
-    reject_unknown_members(obj, {"horizon", "server_speed", "epsilon", "d", "dim", "x"}, what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    p.epsilon = double_above(obj, "epsilon", p.epsilon, 0.0, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.x = count_field(obj, "x", p.x, 0, ctx);
-    return p;
-  }
-  if (kind == "drifting-hotspot") {
-    reject_unknown_members(obj, {"horizon", "dim", "d", "m", "drift_speed", "spread", "r_min",
-                                 "r_max"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.drift_speed = double_at_least(obj, "drift_speed", p.drift_speed, 0.0, ctx);
-    p.spread = double_at_least(obj, "spread", p.spread, 0.0, ctx);
-    p.r_min = count_field(obj, "r_min", p.r_min, 1, ctx);
-    p.r_max = count_field(obj, "r_max", p.r_max, 1, ctx);
-    if (p.r_max < p.r_min) fail(ctx, "\"r_max\" must be >= \"r_min\"");
-    return p;
-  }
-  if (kind == "commute") {
-    reject_unknown_members(obj, {"horizon", "dim", "d", "m", "site_distance", "period", "spread",
-                                 "requests_per_step"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.site_distance = double_above(obj, "site_distance", p.site_distance, 0.0, ctx);
-    p.period = count_field(obj, "period", p.period, 1, ctx);
-    p.spread = double_at_least(obj, "spread", p.spread, 0.0, ctx);
-    p.requests_per_step = count_field(obj, "requests_per_step", p.requests_per_step, 1, ctx);
-    return p;
-  }
-  if (kind == "bursts") {
-    reject_unknown_members(obj, {"horizon", "dim", "d", "m", "drift_speed", "spread", "r_min",
-                                 "r_max", "burst_probability"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.drift_speed = double_at_least(obj, "drift_speed", p.drift_speed, 0.0, ctx);
-    p.spread = double_at_least(obj, "spread", p.spread, 0.0, ctx);
-    p.r_min = count_field(obj, "r_min", p.r_min, 1, ctx);
-    p.r_max = count_field(obj, "r_max", p.r_max, 1, ctx);
-    if (p.r_max < p.r_min) fail(ctx, "\"r_max\" must be >= \"r_min\"");
-    p.burst_probability = unit_field(obj, "burst_probability", p.burst_probability, ctx);
-    return p;
-  }
-  if (kind == "uniform-noise") {
-    reject_unknown_members(obj, {"horizon", "dim", "d", "m", "half_width", "requests_per_step"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    p.half_width = double_above(obj, "half_width", p.half_width, 0.0, ctx);
-    p.requests_per_step = count_field(obj, "requests_per_step", p.requests_per_step, 1, ctx);
-    return p;
-  }
-  if (kind == "random-waypoint") {
-    reject_unknown_members(obj, {"horizon", "dim", "speed", "half_width", "max_pause",
-                                 "min_speed_fraction", "d", "server_speed"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.speed = double_above(obj, "speed", p.speed, 0.0, ctx);
-    p.half_width = double_above(obj, "half_width", p.half_width, 0.0, ctx);
-    p.max_pause = count_field(obj, "max_pause", p.max_pause, 0, ctx);
-    p.min_speed_fraction = fraction_field(obj, "min_speed_fraction", p.min_speed_fraction, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    return p;
-  }
-  if (kind == "gauss-markov") {
-    reject_unknown_members(obj, {"horizon", "dim", "speed", "alpha", "mean_speed_fraction",
-                                 "noise_fraction", "d", "server_speed"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.speed = double_above(obj, "speed", p.speed, 0.0, ctx);
-    p.alpha = unit_field(obj, "alpha", p.alpha, ctx);
-    p.mean_speed_fraction = fraction_field(obj, "mean_speed_fraction", p.mean_speed_fraction, ctx);
-    p.noise_fraction = double_at_least(obj, "noise_fraction", p.noise_fraction, 0.0, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    return p;
-  }
-  if (kind == "zigzag") {
-    reject_unknown_members(obj, {"horizon", "dim", "speed", "half_period", "d", "server_speed"},
-                           what, ctx);
-    p.horizon = count_field(obj, "horizon", p.horizon, 1, ctx);
-    p.dim = dim_field(obj, "dim", p.dim, ctx);
-    p.speed = double_above(obj, "speed", p.speed, 0.0, ctx);
-    p.half_period = count_field(obj, "half_period", p.half_period, 1, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    return p;
-  }
-  if (kind == "demand") {
-    reject_unknown_members(obj, {"order", "d", "m", "start", "file", "steps"}, what, ctx);
-    p.order = order_field(obj, "order", p.order, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.max_step = double_above(obj, "m", p.max_step, 0.0, ctx);
-    if (const Json* start = obj.find("start")) p.start = point_value(*start, "\"start\"", ctx);
-    const Json* file = obj.find("file");
-    const Json* steps = obj.find("steps");
-    if ((file != nullptr) == (steps != nullptr))
-      fail(ctx, "kind \"demand\" requires exactly one of \"file\" and \"steps\"");
-    if (file != nullptr) {
-      p.file = string_field(obj, "file", ctx);
-    } else {
-      parse_inline_steps(*steps, p, ctx);
-      if (!p.start.empty()) {
-        // parse_inline_steps already enforced one dimension across requests;
-        // an explicit start must share it.
-        for (const std::vector<sim::Point>& batch : p.steps)
-          for (const sim::Point& request : batch)
-            if (request.dim() != p.start.dim())
-              fail(ctx, "\"start\" dimension " + std::to_string(p.start.dim()) +
-                            " does not match the request dimension " +
-                            std::to_string(request.dim()));
-      }
-    }
-    return p;
-  }
-  if (kind == "waypoints") {
-    reject_unknown_members(obj, {"d", "server_speed", "agent_speed", "file"}, what, ctx);
-    p.move_cost_weight = double_at_least(obj, "d", p.move_cost_weight, 1.0, ctx);
-    p.server_speed = double_above(obj, "server_speed", p.server_speed, 0.0, ctx);
-    p.agent_speed = double_above(obj, "agent_speed", p.agent_speed, 0.0, ctx);
-    p.file = string_field(obj, "file", ctx);
-    return p;
-  }
-  fail(ctx, "unknown kind \"" + kind + "\"");  // unreachable: kind pre-validated
+Json point_json(const sim::Point& p) {
+  Json arr = Json::array();
+  for (int i = 0; i < p.dim(); ++i) arr.push_back(Json(p[i]));
+  return arr;
 }
 
-trace::TraceFile from_adversarial(trace::TraceMeta meta, adv::AdversarialInstance a) {
-  trace::TraceFile file(std::move(meta), std::move(a.instance));
+/// Canonical emission, one overload per member type. The optional importer
+/// members (start, file, steps) are written only when set.
+template <class T>
+void emit(Json& obj, const char* key, T value) {
+  obj.set(key, Json(value));
+}
+void emit(Json& obj, const char* key, sim::ServiceOrder order) {
+  obj.set(key, Json(sim::order_name(order)));
+}
+void emit(Json& obj, const char* key, const sim::Point& point) {
+  if (!point.empty()) obj.set(key, point_json(point));
+}
+void emit(Json& obj, const char* key, const std::string& text) {
+  if (!text.empty()) obj.set(key, Json(text));
+}
+void emit(Json& obj, const char* key, const Steps& steps) {
+  if (steps.empty()) return;
+  Json batches = Json::array();
+  for (const std::vector<sim::Point>& batch : steps) {
+    Json requests = Json::array();
+    for (const sim::Point& request : batch) requests.push_back(point_json(request));
+    batches.push_back(std::move(requests));
+  }
+  obj.set(key, std::move(batches));
+}
+
+// ---------------------------------------------------------------------------
+// The parameter tables.
+// ---------------------------------------------------------------------------
+
+/// A ScenarioParams member of any parameter type.
+using Slot = std::variant<double ScenarioParams::*, std::size_t ScenarioParams::*,
+                          int ScenarioParams::*, sim::ServiceOrder ScenarioParams::*,
+                          sim::Point ScenarioParams::*, std::string ScenarioParams::*,
+                          Steps ScenarioParams::*>;
+
+/// One parameter of one kind: its JSON key, its range rule and the
+/// ScenarioParams member it sets. A kind's fields, in order, are its
+/// allowlist and its canonical member order.
+struct Field {
+  const char* key;
+  Rule rule;
+  Slot slot;
+};
+
+/// A Field of the kind whose generator (or importer) takes an \p A, bound
+/// to the member of \p A it feeds: that member's default is the parameter's
+/// default, and materialize copies the parsed value into it. Unbound when
+/// only the scenario layer reads the parameter (a CSV path, inline steps).
+template <class A>
+struct Param {
+  template <class T>
+  Param(const char* key, Rule rule, T ScenarioParams::*slot,
+        std::type_identity_t<T> A::*target = nullptr)
+      : field{key, rule, slot} {
+    if (target == nullptr) return;
+    read_default = [slot, target](ScenarioParams& p, const A& a) { p.*slot = a.*target; };
+    feed = [slot, target](const ScenarioParams& p, A& a) { a.*target = p.*slot; };
+  }
+
+  Field field;
+  std::function<void(ScenarioParams&, const A&)> read_default;
+  std::function<void(const ScenarioParams&, A&)> feed;
+};
+
+/// What a generator sees besides its own parameter struct.
+struct Inputs {
+  const ScenarioParams& params;  ///< the importer kinds' file/steps
+  stats::Rng& rng;
+  const std::filesystem::path& base_dir;
+};
+
+template <class A>
+using Generator = trace::TraceFile (*)(const A&, const Inputs&);
+
+/// One generator or importer kind, with its typed table erased: the fields
+/// drive parsing and emission, the defaults and the generator call come
+/// from the parameter struct.
+struct Kind {
+  std::string name;
+  std::vector<Field> fields;
+  std::vector<std::string_view> keys;
+  ScenarioParams defaults;
+  std::function<trace::TraceFile(const ScenarioParams&, stats::Rng&,
+                                 const std::filesystem::path&)>
+      build;
+
+  [[nodiscard]] bool accepts(std::string_view key) const {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  }
+};
+
+template <class A>
+Kind make_kind(std::string name, std::vector<Param<A>> params, Generator<A> generate) {
+  Kind kind;
+  kind.name = std::move(name);
+  const A defaults{};
+  for (const Param<A>& param : params) {
+    kind.fields.push_back(param.field);
+    kind.keys.emplace_back(param.field.key);
+    if (param.read_default) param.read_default(kind.defaults, defaults);
+  }
+  kind.build = [params = std::move(params), generate](const ScenarioParams& p, stats::Rng& rng,
+                                                      const std::filesystem::path& base_dir) {
+    A args{};
+    for (const Param<A>& param : params)
+      if (param.feed) param.feed(p, args);
+    return generate(args, Inputs{p, rng, base_dir});
+  };
+  return kind;
+}
+
+trace::TraceFile adversarial(adv::AdversarialInstance a) {
+  trace::TraceFile file({}, std::move(a.instance));
   file.adversary = trace::AdversaryInfo{a.adversary_cost, std::move(a.adversary_positions)};
   return file;
 }
 
-trace::TraceFile from_moving_client(trace::TraceMeta meta, sim::MovingClientInstance mc) {
-  trace::TraceFile file(std::move(meta), sim::to_instance(mc));
+trace::TraceFile moving_client(sim::MovingClientInstance mc) {
+  trace::TraceFile file({}, sim::to_instance(mc));
   file.moving_client = std::move(mc);
   return file;
 }
 
-sim::MovingClientInstance single_agent(sim::Point start, double server_speed, double agent_speed,
-                                       double d_weight, sim::AgentPath path) {
+/// A mobility model run as a single-agent Moving Client instance: the
+/// model's own parameters plus the server side, whose defaults (unit server
+/// speed, D = 2) are the starter corpus's choice.
+template <class Model>
+struct SingleAgent : Model {
+  double move_cost_weight = 2.0;
+  double server_speed = 1.0;
+};
+
+template <class Model>
+trace::TraceFile single_agent(const SingleAgent<Model>& a, sim::Point start, sim::AgentPath path) {
   sim::MovingClientInstance mc;
   mc.start = std::move(start);
-  mc.server_speed = server_speed;
-  mc.agent_speed = agent_speed;
-  mc.move_cost_weight = d_weight;
+  mc.server_speed = a.server_speed;
+  mc.agent_speed = a.speed;
+  mc.move_cost_weight = a.move_cost_weight;
   mc.agents.push_back(std::move(path));
-  return mc;
+  return moving_client(std::move(mc));
 }
 
 std::filesystem::path resolve_path(const std::filesystem::path& base_dir,
@@ -499,124 +316,327 @@ std::filesystem::path resolve_path(const std::filesystem::path& base_dir,
   return base_dir / path;
 }
 
-const char* order_name(sim::ServiceOrder order) {
-  return order == sim::ServiceOrder::kMoveThenServe ? "move-then-serve" : "serve-then-move";
+trace::TraceFile inline_demand(const trace::DemandImportOptions& a, const Steps& steps) {
+  std::vector<sim::RequestBatch> batches(steps.size());
+  for (std::size_t t = 0; t < steps.size(); ++t) batches[t].requests = steps[t];
+  sim::Point start = a.start;
+  if (start.empty())
+    for (const sim::RequestBatch& batch : batches) {
+      if (batch.empty()) continue;
+      start = batch.requests.front();
+      break;
+    }
+  sim::ModelParams params;
+  params.move_cost_weight = a.move_cost_weight;
+  params.max_step = a.max_step;
+  params.order = a.order;
+  return trace::TraceFile({}, sim::Instance(start, params, std::move(batches)));
 }
 
-Json point_json(const sim::Point& p) {
-  Json arr = Json::array();
-  for (int i = 0; i < p.dim(); ++i) arr.push_back(Json(p[i]));
-  return arr;
+/// Every kind, in registry order: one table per kind, rows in canonical
+/// member order, then the generator call.
+const std::vector<Kind>& kinds() {
+  using S = ScenarioParams;
+  static const std::vector<Kind> kKinds = [] {
+    std::vector<Kind> k;
+    {
+      using A = adv::Theorem1Params;
+      k.push_back(make_kind<A>(
+          "theorem1",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"m", Rule::kPos, &S::max_step, &A::max_step},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"requests_per_step", Rule::kCountPos, &S::requests_per_step,
+               &A::requests_per_step},
+              {"x", Rule::kCount, &S::x, &A::x},
+          },
+          [](const A& a, const Inputs& in) { return adversarial(adv::make_theorem1(a, in.rng)); }));
+    }
+    {
+      using A = adv::Theorem2Params;
+      k.push_back(make_kind<A>(
+          "theorem2",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"m", Rule::kPos, &S::max_step, &A::max_step},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"delta", Rule::kPos, &S::delta, &A::delta},
+              {"r_min", Rule::kCountPos, &S::r_min, &A::r_min},
+              {"r_max", Rule::kCountPos, &S::r_max, &A::r_max},
+              {"x", Rule::kCount, &S::x, &A::x},
+          },
+          [](const A& a, const Inputs& in) { return adversarial(adv::make_theorem2(a, in.rng)); }));
+    }
+    {
+      using A = adv::Theorem3Params;
+      k.push_back(make_kind<A>(
+          "theorem3",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"m", Rule::kPos, &S::max_step, &A::max_step},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"requests_per_step", Rule::kCountPos, &S::requests_per_step,
+               &A::requests_per_step},
+          },
+          [](const A& a, const Inputs& in) { return adversarial(adv::make_theorem3(a, in.rng)); }));
+    }
+    {
+      using A = adv::Theorem8Params;
+      k.push_back(make_kind<A>(
+          "theorem8-moving-client",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"server_speed", Rule::kPos, &S::server_speed, &A::server_speed},
+              {"epsilon", Rule::kPos, &S::epsilon, &A::epsilon},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"x", Rule::kCount, &S::x, &A::x},
+          },
+          [](const A& a, const Inputs& in) {
+            adv::MovingClientAdversarial result = adv::make_theorem8(a, in.rng);
+            trace::TraceFile file = moving_client(std::move(result.mc));
+            file.adversary = trace::AdversaryInfo{result.adversary_cost,
+                                                  std::move(result.adversary_positions)};
+            return file;
+          }));
+    }
+    {
+      using A = adv::DriftingHotspotParams;
+      k.push_back(make_kind<A>(
+          "drifting-hotspot",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"m", Rule::kPos, &S::max_step, &A::max_step},
+              {"drift_speed", Rule::kNonNeg, &S::drift_speed, &A::drift_speed},
+              {"spread", Rule::kNonNeg, &S::spread, &A::spread},
+              {"r_min", Rule::kCountPos, &S::r_min, &A::r_min},
+              {"r_max", Rule::kCountPos, &S::r_max, &A::r_max},
+          },
+          [](const A& a, const Inputs& in) {
+            return trace::TraceFile({}, adv::make_drifting_hotspot(a, in.rng));
+          }));
+    }
+    {
+      using A = adv::CommuteParams;
+      k.push_back(make_kind<A>(
+          "commute",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"m", Rule::kPos, &S::max_step, &A::max_step},
+              {"site_distance", Rule::kPos, &S::site_distance, &A::site_distance},
+              {"period", Rule::kCountPos, &S::period, &A::period},
+              {"spread", Rule::kNonNeg, &S::spread, &A::spread},
+              {"requests_per_step", Rule::kCountPos, &S::requests_per_step,
+               &A::requests_per_step},
+          },
+          [](const A& a, const Inputs& in) {
+            return trace::TraceFile({}, adv::make_commute(a, in.rng));
+          }));
+    }
+    {
+      using A = adv::BurstParams;
+      k.push_back(make_kind<A>(
+          "bursts",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"m", Rule::kPos, &S::max_step, &A::max_step},
+              {"drift_speed", Rule::kNonNeg, &S::drift_speed, &A::drift_speed},
+              {"spread", Rule::kNonNeg, &S::spread, &A::spread},
+              {"r_min", Rule::kCountPos, &S::r_min, &A::r_min},
+              {"r_max", Rule::kCountPos, &S::r_max, &A::r_max},
+              {"burst_probability", Rule::kUnit, &S::burst_probability, &A::burst_probability},
+          },
+          [](const A& a, const Inputs& in) {
+            return trace::TraceFile({}, adv::make_bursts(a, in.rng));
+          }));
+    }
+    {
+      using A = adv::UniformNoiseParams;
+      k.push_back(make_kind<A>(
+          "uniform-noise",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"m", Rule::kPos, &S::max_step, &A::max_step},
+              {"half_width", Rule::kPos, &S::half_width, &A::half_width},
+              {"requests_per_step", Rule::kCountPos, &S::requests_per_step,
+               &A::requests_per_step},
+          },
+          [](const A& a, const Inputs& in) {
+            return trace::TraceFile({}, adv::make_uniform_noise(a, in.rng));
+          }));
+    }
+    {
+      using A = SingleAgent<adv::RandomWaypointParams>;
+      k.push_back(make_kind<A>(
+          "random-waypoint",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"speed", Rule::kPos, &S::speed, &A::speed},
+              {"half_width", Rule::kPos, &S::half_width, &A::half_width},
+              {"max_pause", Rule::kCount, &S::max_pause, &A::max_pause},
+              {"min_speed_fraction", Rule::kFrac, &S::min_speed_fraction,
+               &A::min_speed_fraction},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"server_speed", Rule::kPos, &S::server_speed, &A::server_speed},
+          },
+          [](const A& a, const Inputs& in) {
+            const sim::Point start = sim::Point::zero(a.dim);
+            return single_agent(a, start, adv::make_random_waypoint(a, start, in.rng));
+          }));
+    }
+    {
+      using A = SingleAgent<adv::GaussMarkovParams>;
+      k.push_back(make_kind<A>(
+          "gauss-markov",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"speed", Rule::kPos, &S::speed, &A::speed},
+              {"alpha", Rule::kUnit, &S::alpha, &A::alpha},
+              {"mean_speed_fraction", Rule::kFrac, &S::mean_speed_fraction,
+               &A::mean_speed_fraction},
+              {"noise_fraction", Rule::kNonNeg, &S::noise_fraction, &A::noise_fraction},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"server_speed", Rule::kPos, &S::server_speed, &A::server_speed},
+          },
+          [](const A& a, const Inputs& in) {
+            const sim::Point start = sim::Point::zero(a.dim);
+            return single_agent(a, start, adv::make_gauss_markov(a, start, in.rng));
+          }));
+    }
+    {
+      using A = SingleAgent<adv::ZigZagParams>;
+      k.push_back(make_kind<A>(
+          "zigzag",
+          {
+              {"horizon", Rule::kCountPos, &S::horizon, &A::horizon},
+              {"dim", Rule::kDim, &S::dim, &A::dim},
+              {"speed", Rule::kPos, &S::speed, &A::speed},
+              {"half_period", Rule::kCountPos, &S::half_period, &A::half_period},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"server_speed", Rule::kPos, &S::server_speed, &A::server_speed},
+          },
+          [](const A& a, const Inputs&) {
+            const sim::Point start = sim::Point::zero(a.dim);
+            return single_agent(a, start, adv::make_zigzag(a, start));
+          }));
+    }
+    {
+      using A = trace::DemandImportOptions;
+      k.push_back(make_kind<A>(
+          "demand",
+          {
+              {"order", Rule::kOrder, &S::order, &A::order},
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"m", Rule::kPos, &S::max_step, &A::max_step},
+              {"start", Rule::kPoint, &S::start, &A::start},
+              {"file", Rule::kFile, &S::file},
+              {"steps", Rule::kSteps, &S::steps},
+          },
+          [](const A& a, const Inputs& in) {
+            if (in.params.has_inline_steps) return inline_demand(a, in.params.steps);
+            return trace::import_demand(resolve_path(in.base_dir, in.params.file), a);
+          }));
+    }
+    {
+      using A = trace::WaypointImportOptions;
+      k.push_back(make_kind<A>(
+          "waypoints",
+          {
+              {"d", Rule::kAtLeast1, &S::move_cost_weight, &A::move_cost_weight},
+              {"server_speed", Rule::kPos, &S::server_speed, &A::server_speed},
+              {"agent_speed", Rule::kPos, &S::agent_speed, &A::agent_speed},
+              {"file", Rule::kFile, &S::file},
+          },
+          [](const A& a, const Inputs& in) {
+            return trace::import_waypoints(resolve_path(in.base_dir, in.params.file), a);
+          }));
+    }
+    return k;
+  }();
+  return kKinds;
+}
+
+const Kind* find_kind(const std::string& name) {
+  for (const Kind& kind : kinds())
+    if (kind.name == name) return &kind;
+  return nullptr;
+}
+
+void read_field(const Json& value, const Field& field, ScenarioParams& p, const std::string& ctx) {
+  using S = ScenarioParams;
+  const std::string key = quoted(field.key);
+  switch (field.rule) {
+    case Rule::kCount:
+    case Rule::kCountPos:
+      p.*std::get<std::size_t S::*>(field.slot) =
+          count_value(value, field.rule == Rule::kCount ? 0 : 1, key, ctx);
+      return;
+    case Rule::kDim:
+      p.*std::get<int S::*>(field.slot) = dim_value(value, key, ctx);
+      return;
+    case Rule::kOrder:
+      p.*std::get<sim::ServiceOrder S::*>(field.slot) = order_value(value, key, ctx);
+      return;
+    case Rule::kPoint:
+      p.*std::get<sim::Point S::*>(field.slot) = point_value(value, key, ctx);
+      return;
+    case Rule::kFile:
+      p.*std::get<std::string S::*>(field.slot) = string_value(value, key, ctx);
+      return;
+    case Rule::kSteps:
+      p.*std::get<Steps S::*>(field.slot) = steps_value(value, p.start, ctx);
+      p.has_inline_steps = true;
+      return;
+    default:
+      p.*std::get<double S::*>(field.slot) = real_value(value, field.rule, key, ctx);
+  }
+}
+
+/// The importer kinds' data source: "file", or exactly one of "file" and
+/// "steps" where a kind accepts both.
+void require_source(const Kind& kind, const Json& obj, const std::string& ctx) {
+  const bool has_file = obj.find("file") != nullptr;
+  if (!kind.accepts("steps")) {
+    if (!has_file) fail(ctx, "missing required member \"file\"");
+    return;
+  }
+  if (has_file == (obj.find("steps") != nullptr))
+    fail(ctx, "kind \"" + kind.name + "\" requires exactly one of \"file\" and \"steps\"");
+}
+
+ScenarioParams parse_params(const Kind& kind, const Json& obj, const std::string& ctx) {
+  reject_unknown_members(obj, kind.keys, "\"params\" for kind \"" + kind.name + "\"", ctx);
+  ScenarioParams p = kind.defaults;
+  for (const Field& field : kind.fields) {
+    // The source rows come last in a table, so the scalars are checked first.
+    if (field.rule == Rule::kFile) require_source(kind, obj, ctx);
+    if (const Json* value = obj.find(field.key)) read_field(*value, field, p, ctx);
+    // r_max follows r_min in every table that has them.
+    if (field.key == std::string_view("r_max") && p.r_max < p.r_min)
+      fail(ctx, "\"r_max\" must be >= \"r_min\"");
+  }
+  return p;
 }
 
 Json params_json(const Scenario& sc) {
-  const ScenarioParams& p = sc.params;
   Json obj = Json::object();
-  if (sc.kind == "theorem1" || sc.kind == "theorem3") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("dim", Json(p.dim));
-    obj.set("requests_per_step", Json(p.requests_per_step));
-    if (sc.kind == "theorem1") obj.set("x", Json(p.x));
-  } else if (sc.kind == "theorem2") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("dim", Json(p.dim));
-    obj.set("delta", Json(p.delta));
-    obj.set("r_min", Json(p.r_min));
-    obj.set("r_max", Json(p.r_max));
-    obj.set("x", Json(p.x));
-  } else if (sc.kind == "theorem8-moving-client") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("server_speed", Json(p.server_speed));
-    obj.set("epsilon", Json(p.epsilon));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("dim", Json(p.dim));
-    obj.set("x", Json(p.x));
-  } else if (sc.kind == "drifting-hotspot") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("drift_speed", Json(p.drift_speed));
-    obj.set("spread", Json(p.spread));
-    obj.set("r_min", Json(p.r_min));
-    obj.set("r_max", Json(p.r_max));
-  } else if (sc.kind == "commute") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("site_distance", Json(p.site_distance));
-    obj.set("period", Json(p.period));
-    obj.set("spread", Json(p.spread));
-    obj.set("requests_per_step", Json(p.requests_per_step));
-  } else if (sc.kind == "bursts") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("drift_speed", Json(p.drift_speed));
-    obj.set("spread", Json(p.spread));
-    obj.set("r_min", Json(p.r_min));
-    obj.set("r_max", Json(p.r_max));
-    obj.set("burst_probability", Json(p.burst_probability));
-  } else if (sc.kind == "uniform-noise") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    obj.set("half_width", Json(p.half_width));
-    obj.set("requests_per_step", Json(p.requests_per_step));
-  } else if (sc.kind == "random-waypoint") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("speed", Json(p.speed));
-    obj.set("half_width", Json(p.half_width));
-    obj.set("max_pause", Json(p.max_pause));
-    obj.set("min_speed_fraction", Json(p.min_speed_fraction));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("server_speed", Json(p.server_speed));
-  } else if (sc.kind == "gauss-markov") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("speed", Json(p.speed));
-    obj.set("alpha", Json(p.alpha));
-    obj.set("mean_speed_fraction", Json(p.mean_speed_fraction));
-    obj.set("noise_fraction", Json(p.noise_fraction));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("server_speed", Json(p.server_speed));
-  } else if (sc.kind == "zigzag") {
-    obj.set("horizon", Json(p.horizon));
-    obj.set("dim", Json(p.dim));
-    obj.set("speed", Json(p.speed));
-    obj.set("half_period", Json(p.half_period));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("server_speed", Json(p.server_speed));
-  } else if (sc.kind == "demand") {
-    obj.set("order", Json(order_name(p.order)));
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("m", Json(p.max_step));
-    if (!p.start.empty()) obj.set("start", point_json(p.start));
-    if (p.has_inline_steps) {
-      Json steps = Json::array();
-      for (const std::vector<sim::Point>& batch : p.steps) {
-        Json requests = Json::array();
-        for (const sim::Point& request : batch) requests.push_back(point_json(request));
-        steps.push_back(std::move(requests));
-      }
-      obj.set("steps", std::move(steps));
-    } else {
-      obj.set("file", Json(p.file));
-    }
-  } else if (sc.kind == "waypoints") {
-    obj.set("d", Json(p.move_cost_weight));
-    obj.set("server_speed", Json(p.server_speed));
-    obj.set("agent_speed", Json(p.agent_speed));
-    obj.set("file", Json(p.file));
-  }
+  if (const Kind* kind = find_kind(sc.kind))
+    for (const Field& field : kind->fields)
+      std::visit([&](auto slot) { emit(obj, field.key, sc.params.*slot); }, field.slot);
   return obj;
 }
 
@@ -680,21 +700,20 @@ bool valid_name(const std::string& name) {
   return true;
 }
 
+constexpr std::string_view kDocumentMembers[] = {"v",      "name",         "kind",
+                                                 "seed",   "speed_factor", "params",
+                                                 "fleet"};
+constexpr std::string_view kFleetMembers[] = {"size", "spread"};
+
 }  // namespace
 
 const std::vector<std::string>& scenario_kinds() {
-  static const std::vector<std::string> kKinds = {
-      "theorem1",       "theorem2", "theorem3",      "theorem8-moving-client",
-      "drifting-hotspot", "commute", "bursts",        "uniform-noise",
-      "random-waypoint", "gauss-markov", "zigzag",   "demand",
-      "waypoints",
-  };
-  return kKinds;
-}
-
-bool is_scenario_kind(const std::string& kind) {
-  const std::vector<std::string>& kinds = scenario_kinds();
-  return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const Kind& kind : kinds()) names.push_back(kind.name);
+    return names;
+  }();
+  return kNames;
 }
 
 Scenario from_json(const Json& doc, const std::string& context) {
@@ -706,8 +725,7 @@ Scenario from_json(const Json& doc, const std::string& context) {
   if (const Json* name = doc.find("name"); name != nullptr && name->is_string())
     ctx += ": scenario \"" + name->as_string() + "\"";
 
-  reject_unknown_members(doc, {"v", "name", "kind", "seed", "speed_factor", "params", "fleet"},
-                         "a scenario document", ctx);
+  reject_unknown_members(doc, kDocumentMembers, "a scenario document", ctx);
 
   const Json& version = require(doc, "v", ctx);
   bool version_ok = version.is_number();
@@ -723,18 +741,14 @@ Scenario from_json(const Json& doc, const std::string& context) {
                   std::to_string(kFormatVersion) + ")");
 
   Scenario sc;
-  sc.name = string_field(doc, "name", ctx);
+  sc.name = string_value(require(doc, "name", ctx), "\"name\"", ctx);
   if (!valid_name(sc.name))
     fail(ctx, "\"name\" must use only letters, digits, '-', '_' and '.', got \"" + sc.name + "\"");
-  sc.kind = string_field(doc, "kind", ctx);
-  if (!is_scenario_kind(sc.kind)) {
-    std::string list;
-    for (const std::string& kind : scenario_kinds()) {
-      if (!list.empty()) list += ", ";
-      list += kind;
-    }
-    fail(ctx, "unknown kind \"" + sc.kind + "\" (known kinds: " + list + ")");
-  }
+  sc.kind = string_value(require(doc, "kind", ctx), "\"kind\"", ctx);
+  const Kind* kind = find_kind(sc.kind);
+  if (kind == nullptr)
+    fail(ctx, "unknown kind \"" + sc.kind + "\" (known kinds: " + io::join_names(scenario_kinds()) +
+                  ")");
 
   if (const Json* seed = doc.find("seed")) {
     if (!seed->is_number()) fail(ctx, "\"seed\" must be a number");
@@ -744,20 +758,22 @@ Scenario from_json(const Json& doc, const std::string& context) {
       fail(ctx, "\"seed\" must be a non-negative integer");
     }
   }
-  sc.speed_factor = double_at_least(doc, "speed_factor", sc.speed_factor, 1.0, ctx);
+  if (const Json* speed = doc.find("speed_factor"))
+    sc.speed_factor = real_value(*speed, Rule::kAtLeast1, "\"speed_factor\"", ctx);
 
   const Json* params = doc.find("params");
   if (params != nullptr && !params->is_object()) fail(ctx, "\"params\" must be an object");
   const Json empty = Json::object();
-  sc.params = parse_params(sc.kind, params != nullptr ? *params : empty, ctx);
+  sc.params = parse_params(*kind, params != nullptr ? *params : empty, ctx);
 
   if (const Json* fleet = doc.find("fleet")) {
     if (!fleet->is_object()) fail(ctx, "\"fleet\" must be an object");
-    reject_unknown_members(*fleet, {"size", "spread"}, "\"fleet\"", ctx);
+    reject_unknown_members(*fleet, kFleetMembers, "\"fleet\"", ctx);
     FleetSpec spec;
-    spec.size = count_field(*fleet, "size", spec.size, 1, ctx);
+    if (const Json* size = fleet->find("size")) spec.size = count_value(*size, 1, "\"size\"", ctx);
     if (spec.size > 4096) fail(ctx, "\"size\" must be in [1, 4096]");
-    spec.spread = double_above(*fleet, "spread", spec.spread, 0.0, ctx);
+    if (const Json* spread = fleet->find("spread"))
+      spec.spread = real_value(*spread, Rule::kPos, "\"spread\"", ctx);
     sc.fleet = spec;
   }
   return sc;
@@ -805,181 +821,16 @@ std::string canonical_text(const Scenario& sc) {
 }
 
 trace::TraceFile materialize(const Scenario& sc, const std::filesystem::path& base_dir) {
-  const ScenarioParams& p = sc.params;
-  // Keyed exactly like trace::make_corpus_trace ("corpus", name, seed): a
-  // scenario file that names a corpus scenario and pins its parameters
-  // materialises the compiled-in instance bit for bit (parity-tested).
+  const Kind* kind = find_kind(sc.kind);
+  if (kind == nullptr)
+    throw ScenarioError("scenario \"" + sc.name + "\": unknown kind \"" + sc.kind + "\"");
+  // The stream is keyed ("corpus", name, seed), the key the committed golden
+  // digests were captured under: the same name and seed give the same
+  // workload in every build.
   stats::Rng rng({stats::hash_name("corpus"), stats::hash_name(sc.name), sc.seed});
-  trace::TraceMeta meta{sc.name, "scenario", sc.seed};
-
-  if (sc.kind == "theorem1") {
-    adv::Theorem1Params a;
-    a.horizon = p.horizon;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.dim = p.dim;
-    a.requests_per_step = p.requests_per_step;
-    a.x = p.x;
-    return from_adversarial(std::move(meta), adv::make_theorem1(a, rng));
-  }
-  if (sc.kind == "theorem2") {
-    adv::Theorem2Params a;
-    a.horizon = p.horizon;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.dim = p.dim;
-    a.delta = p.delta;
-    a.r_min = p.r_min;
-    a.r_max = p.r_max;
-    a.x = p.x;
-    return from_adversarial(std::move(meta), adv::make_theorem2(a, rng));
-  }
-  if (sc.kind == "theorem3") {
-    adv::Theorem3Params a;
-    a.horizon = p.horizon;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.dim = p.dim;
-    a.requests_per_step = p.requests_per_step;
-    return from_adversarial(std::move(meta), adv::make_theorem3(a, rng));
-  }
-  if (sc.kind == "theorem8-moving-client") {
-    adv::Theorem8Params a;
-    a.horizon = p.horizon;
-    a.server_speed = p.server_speed;
-    a.epsilon = p.epsilon;
-    a.move_cost_weight = p.move_cost_weight;
-    a.dim = p.dim;
-    a.x = p.x;
-    adv::MovingClientAdversarial result = adv::make_theorem8(a, rng);
-    trace::TraceFile file = from_moving_client(std::move(meta), std::move(result.mc));
-    file.adversary = trace::AdversaryInfo{result.adversary_cost,
-                                          std::move(result.adversary_positions)};
-    return file;
-  }
-  if (sc.kind == "drifting-hotspot") {
-    adv::DriftingHotspotParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.drift_speed = p.drift_speed;
-    a.spread = p.spread;
-    a.r_min = p.r_min;
-    a.r_max = p.r_max;
-    return trace::TraceFile(std::move(meta), adv::make_drifting_hotspot(a, rng));
-  }
-  if (sc.kind == "commute") {
-    adv::CommuteParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.site_distance = p.site_distance;
-    a.period = p.period;
-    a.spread = p.spread;
-    a.requests_per_step = p.requests_per_step;
-    return trace::TraceFile(std::move(meta), adv::make_commute(a, rng));
-  }
-  if (sc.kind == "bursts") {
-    adv::BurstParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.drift_speed = p.drift_speed;
-    a.spread = p.spread;
-    a.r_min = p.r_min;
-    a.r_max = p.r_max;
-    a.burst_probability = p.burst_probability;
-    return trace::TraceFile(std::move(meta), adv::make_bursts(a, rng));
-  }
-  if (sc.kind == "uniform-noise") {
-    adv::UniformNoiseParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.move_cost_weight = p.move_cost_weight;
-    a.max_step = p.max_step;
-    a.half_width = p.half_width;
-    a.requests_per_step = p.requests_per_step;
-    return trace::TraceFile(std::move(meta), adv::make_uniform_noise(a, rng));
-  }
-  if (sc.kind == "random-waypoint") {
-    adv::RandomWaypointParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.speed = p.speed;
-    a.half_width = p.half_width;
-    a.max_pause = p.max_pause;
-    a.min_speed_fraction = p.min_speed_fraction;
-    const sim::Point start = sim::Point::zero(a.dim);
-    sim::AgentPath path = adv::make_random_waypoint(a, start, rng);
-    return from_moving_client(std::move(meta),
-                              single_agent(start, p.server_speed, a.speed, p.move_cost_weight,
-                                           std::move(path)));
-  }
-  if (sc.kind == "gauss-markov") {
-    adv::GaussMarkovParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.speed = p.speed;
-    a.alpha = p.alpha;
-    a.mean_speed_fraction = p.mean_speed_fraction;
-    a.noise_fraction = p.noise_fraction;
-    const sim::Point start = sim::Point::zero(a.dim);
-    sim::AgentPath path = adv::make_gauss_markov(a, start, rng);
-    return from_moving_client(std::move(meta),
-                              single_agent(start, p.server_speed, a.speed, p.move_cost_weight,
-                                           std::move(path)));
-  }
-  if (sc.kind == "zigzag") {
-    adv::ZigZagParams a;
-    a.horizon = p.horizon;
-    a.dim = p.dim;
-    a.speed = p.speed;
-    a.half_period = p.half_period;
-    const sim::Point start = sim::Point::zero(a.dim);
-    sim::AgentPath path = adv::make_zigzag(a, start);
-    return from_moving_client(std::move(meta),
-                              single_agent(start, p.server_speed, a.speed, p.move_cost_weight,
-                                           std::move(path)));
-  }
-  if (sc.kind == "demand") {
-    if (p.has_inline_steps) {
-      std::vector<sim::RequestBatch> steps(p.steps.size());
-      for (std::size_t t = 0; t < p.steps.size(); ++t) steps[t].requests = p.steps[t];
-      sim::Point start = p.start;
-      if (start.empty())
-        for (const sim::RequestBatch& batch : steps) {
-          if (batch.empty()) continue;
-          start = batch.requests.front();
-          break;
-        }
-      sim::ModelParams params;
-      params.move_cost_weight = p.move_cost_weight;
-      params.max_step = p.max_step;
-      params.order = p.order;
-      return trace::TraceFile(std::move(meta), sim::Instance(start, params, std::move(steps)));
-    }
-    trace::DemandImportOptions options;
-    options.move_cost_weight = p.move_cost_weight;
-    options.max_step = p.max_step;
-    options.order = p.order;
-    options.start = p.start;
-    trace::TraceFile file = trace::import_demand(resolve_path(base_dir, p.file), options);
-    file.meta = std::move(meta);
-    return file;
-  }
-  if (sc.kind == "waypoints") {
-    trace::WaypointImportOptions options;
-    options.server_speed = p.server_speed;
-    options.agent_speed = p.agent_speed;
-    options.move_cost_weight = p.move_cost_weight;
-    trace::TraceFile file = trace::import_waypoints(resolve_path(base_dir, p.file), options);
-    file.meta = std::move(meta);
-    return file;
-  }
-  throw ScenarioError("scenario \"" + sc.name + "\": unknown kind \"" + sc.kind + "\"");
+  trace::TraceFile file = kind->build(sc.params, rng, base_dir);
+  file.meta = trace::TraceMeta{sc.name, "scenario", sc.seed};
+  return file;
 }
 
 std::vector<std::filesystem::path> list_scenario_files(const std::filesystem::path& dir) {
@@ -1003,14 +854,13 @@ const std::vector<Scenario>& starter_corpus() {
       Scenario sc;
       sc.name = name;
       sc.kind = kind;
-      sc.params = defaults_for(kind);
+      sc.params = find_kind(kind)->defaults;
       corpus.push_back(std::move(sc));
       return corpus.back();
     };
 
-    // The 12 compiled-in corpus scenarios with their corpus-pinned
-    // parameters (make_corpus_trace at scale 1) — the generator-parity
-    // suite materialises these against the C++ corpus bit for bit.
+    // The 12 generator scenarios, the ones mobsrv_trace records by name
+    // (generator_starters). Their horizons are the scale-1 horizons.
     add("theorem1", "theorem1").params.horizon = 1024;
     {
       Scenario& sc = add("theorem2", "theorem2");
@@ -1070,6 +920,42 @@ const std::vector<Scenario>& starter_corpus() {
     return corpus;
   }();
   return kCorpus;
+}
+
+std::vector<Scenario> generator_starters() {
+  std::vector<Scenario> out;
+  for (const Scenario& sc : starter_corpus())
+    if (!sc.fleet && find_kind(sc.kind)->accepts("horizon")) out.push_back(sc);
+  return out;
+}
+
+trace::TraceFile starter_trace(const std::string& name, std::uint64_t seed, double scale) {
+  const std::vector<Scenario> starters = generator_starters();
+  const auto it = std::find_if(starters.begin(), starters.end(),
+                               [&](const Scenario& sc) { return sc.name == name; });
+  if (it == starters.end()) throw ContractViolation("unknown corpus scenario: " + name);
+  Scenario sc = *it;
+  sc.seed = seed;
+  const double h = static_cast<double>(sc.params.horizon) * scale;
+  // Guard the double→size_t cast: casting a value ≥ 2^64 (or NaN) is UB,
+  // and anything near it is an absurd horizon anyway.
+  MOBSRV_CHECK_MSG(scale > 0.0 && h < 1e9, "corpus scale out of range (horizon would exceed 1e9)");
+  sc.params.horizon = std::max<std::size_t>(16, static_cast<std::size_t>(h));
+  return materialize(sc);
+}
+
+std::vector<std::filesystem::path> write_corpus(trace::Recorder& recorder, std::uint64_t seed,
+                                                double scale,
+                                                const std::vector<std::string>& algorithms,
+                                                double speed_factor) {
+  std::vector<std::filesystem::path> paths;
+  for (const Scenario& sc : generator_starters()) {
+    trace::TraceFile file = starter_trace(sc.name, seed, scale);
+    for (const std::string& algorithm : algorithms)
+      file.runs.push_back(trace::record_run(file.instance, algorithm, seed, speed_factor));
+    paths.push_back(recorder.write(file));
+  }
+  return paths;
 }
 
 }  // namespace mobsrv::scenario

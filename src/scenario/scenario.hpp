@@ -1,21 +1,30 @@
 /// \file scenario.hpp
-/// The declarative scenario layer: workloads as versioned JSON files.
+/// The declarative scenario layer: workloads as versioned JSON files, and
+/// the one workload registry.
 ///
 /// Every workload the library can generate in C++ — the Theorem 1–3/8
 /// lower-bound adversaries, the realistic demand workloads and the mobility
-/// models — plus the PR 2 CSV importers is expressible as one small JSON
-/// file: generator kind + parameters + seed + an optional fleet spec.
-/// Dropping a file into a corpus directory is all it takes to add a
-/// scenario; no recompile (the ROADMAP's scenario-diversity axis).
+/// models — plus the CSV importers is expressible as one small JSON file:
+/// generator kind + parameters + seed + an optional fleet spec. Dropping a
+/// file into a corpus directory is all it takes to add a scenario; no
+/// recompile.
+///
+/// Each kind is one table in scenario.cpp: per parameter the JSON key, the
+/// ScenarioParams member it sets, its range rule, and the member of the
+/// generator's own parameter struct (adv::*Params, or the importer options)
+/// it feeds, whose value is the default. One generic loop over the table
+/// parses (allowlist and range errors), emits canonical_text and copies the
+/// parameters into the generator call in materialize(). Adding a kind, or a
+/// parameter, takes a table row and the generator call.
 ///
 /// The format is strict in the serve/frames tradition: unknown members,
 /// wrong types and out-of-range values fail loudly with the file and
 /// scenario name attached — a typo'd "hroizon" must never silently run the
-/// default workload. Materialisation is bit-identical to the compiled-in
-/// corpus: a scenario file named after a corpus scenario with matching
-/// parameters produces exactly the `sim::Instance` that
-/// `trace::make_corpus_trace` builds (the RNG stream is keyed by scenario
-/// *name*, like the corpus — parity-tested per generator).
+/// default workload. Materialisation is pinned by committed golden digests
+/// (tests/test_scenario_corpus.cpp): every starter scenario, at two seeds
+/// and at the horizon scales mobsrv_trace uses, must encode to the same
+/// trace bytes in every build. The RNG stream is keyed by scenario *name*
+/// and seed.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +37,7 @@
 
 #include "io/json.hpp"
 #include "sim/model.hpp"
+#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 
 namespace mobsrv::scenario {
@@ -58,11 +68,11 @@ struct FleetSpec {
 };
 
 /// Kind-specific generator parameters: the superset of every generator's
-/// knobs, with the slice a kind reads defined by its parameter allowlist
-/// (see scenario.cpp). parse() fills kind-appropriate defaults (the
-/// adversary structs' own defaults, corpus values for the mobility extras)
-/// before applying the file's overrides, so to_json(parse(x)) pins every
-/// parameter explicitly.
+/// knobs, with the slice a kind reads defined by its parameter table (see
+/// scenario.cpp). parse() fills kind-appropriate defaults (the generator
+/// structs' own defaults; unit server speed and D = 2 for the mobility
+/// kinds) before applying the file's overrides, so to_json(parse(x)) pins
+/// every parameter explicitly.
 struct ScenarioParams {
   std::size_t horizon = 0;
   double move_cost_weight = 1.0;  ///< JSON key "d"
@@ -113,7 +123,6 @@ struct Scenario {
 
 /// Every generator/importer kind, in registry order.
 [[nodiscard]] const std::vector<std::string>& scenario_kinds();
-[[nodiscard]] bool is_scenario_kind(const std::string& kind);
 
 /// Parses and validates one scenario document. \p context prefixes error
 /// messages (a file path, or "<inline>" for tests). Throws ScenarioError on
@@ -134,12 +143,11 @@ struct Scenario {
 /// in tests, so regeneration is always possible from code.
 [[nodiscard]] std::string canonical_text(const Scenario& sc);
 
-/// Builds the scenario's workload: generator kinds drive the same seeded
-/// constructions as trace::make_corpus_trace (bit-identical instances for
-/// matching name/parameters/seed); importer kinds read their CSV relative
-/// to \p base_dir. The result carries meta {name, "scenario", seed} plus
-/// the adversary solution / moving-client provenance where the generator
-/// provides one.
+/// Builds the scenario's workload: generator kinds run their seeded
+/// construction (the same name, parameters and seed always give the same
+/// instance); importer kinds read their CSV relative to \p base_dir. The
+/// result carries meta {name, "scenario", seed} plus the adversary solution
+/// / moving-client provenance where the generator provides one.
 [[nodiscard]] trace::TraceFile materialize(const Scenario& sc,
                                            const std::filesystem::path& base_dir = {});
 
@@ -148,10 +156,31 @@ struct Scenario {
 [[nodiscard]] std::vector<std::filesystem::path> list_scenario_files(
     const std::filesystem::path& dir);
 
-/// The committed starter corpus (scenarios/ in the repo): scenario-file
-/// equivalents of all 12 compiled-in corpus generators (corpus-pinned
-/// parameters), importer examples (inline + CSV demand, CSV waypoints) and
-/// a fleet scenario. scenarios/<name>.json holds canonical_text() of each.
+/// The committed starter corpus (scenarios/ in the repo): 12 generator
+/// scenarios covering every generator kind, importer examples (inline + CSV
+/// demand, CSV waypoints) and a fleet scenario. scenarios/<name>.json holds
+/// canonical_text() of each.
 [[nodiscard]] const std::vector<Scenario>& starter_corpus();
+
+/// The starter scenarios `mobsrv_trace` records by name: the single-server
+/// generator scenarios of starter_corpus(), in corpus order. The importer
+/// scenarios have no horizon to scale; a trace file has no fleet.
+[[nodiscard]] std::vector<Scenario> generator_starters();
+
+/// Looks up the generator starter \p name, re-seeds it with \p seed, sets
+/// its horizon to max(16, ⌊horizon·scale⌋) and materialises it. Throws
+/// ContractViolation for an unknown name, or for a scale that is not
+/// positive or would push the horizon past 1e9.
+[[nodiscard]] trace::TraceFile starter_trace(const std::string& name, std::uint64_t seed,
+                                             double scale = 1.0);
+
+/// Writes starter_trace(name, seed, scale) of every generator starter
+/// through \p recorder; returns the paths written. When \p algorithms is
+/// non-empty, each file also carries runs of those algorithms recorded at
+/// \p speed_factor (seeded with \p seed).
+std::vector<std::filesystem::path> write_corpus(trace::Recorder& recorder, std::uint64_t seed,
+                                                double scale = 1.0,
+                                                const std::vector<std::string>& algorithms = {},
+                                                double speed_factor = 1.5);
 
 }  // namespace mobsrv::scenario

@@ -1,7 +1,5 @@
 #include "serve/frames.hpp"
 
-#include <algorithm>
-
 #include "common/contracts.hpp"
 
 namespace mobsrv::serve {
@@ -9,6 +7,7 @@ namespace mobsrv::serve {
 namespace {
 
 using io::Json;
+using io::quoted;
 
 /// The tenant a frame names, best-effort, for error attribution. Returns
 /// empty when the line is too broken to tell.
@@ -25,22 +24,10 @@ std::string sniff_tenant(const Json& doc) {
 
 /// Rejects members outside \p allowed — a typo'd member must fail loudly,
 /// never be silently ignored (the CLI flag discipline, applied to frames).
-void reject_unknown_members(const Json& doc, std::initializer_list<const char*> allowed,
+void reject_unknown_members(const Json& doc, std::initializer_list<std::string_view> allowed,
                             const std::string& type, const std::string& tenant) {
-  for (const Json::Member& member : doc.as_object()) {
-    const bool known = std::any_of(allowed.begin(), allowed.end(),
-                                   [&](const char* name) { return member.first == name; });
-    if (!known)
-      fail("unknown member \"" + member.first + "\" in \"" + type + "\" frame", tenant);
-  }
-}
-
-/// `key` wrapped in JSON-style quotes for error messages.
-std::string quoted(const char* key) {
-  std::string out = "\"";
-  out += key;
-  out += '"';
-  return out;
+  if (const Json::Member* member = io::find_unknown_member(doc, allowed))
+    fail("unknown member \"" + member->first + "\" in \"" + type + "\" frame", tenant);
 }
 
 const Json& require(const Json& doc, const char* key, const std::string& type,
@@ -112,28 +99,6 @@ sim::Point parse_point(const Json& value, const char* what, const std::string& t
   return p;
 }
 
-sim::SpeedLimitPolicy policy_from(const std::string& name, const std::string& tenant) {
-  if (name == "clamp") return sim::SpeedLimitPolicy::kClamp;
-  if (name == "throw") return sim::SpeedLimitPolicy::kThrow;
-  fail("unknown \"policy\" \"" + name + "\" (expected \"clamp\" or \"throw\")", tenant);
-}
-
-sim::ServiceOrder order_from(const std::string& name, const std::string& tenant) {
-  if (name == "move-then-serve") return sim::ServiceOrder::kMoveThenServe;
-  if (name == "serve-then-move") return sim::ServiceOrder::kServeThenMove;
-  fail("unknown \"order\" \"" + name +
-           "\" (expected \"move-then-serve\" or \"serve-then-move\")",
-       tenant);
-}
-
-std::string policy_name(sim::SpeedLimitPolicy policy) {
-  return policy == sim::SpeedLimitPolicy::kThrow ? "throw" : "clamp";
-}
-
-std::string order_name(sim::ServiceOrder order) {
-  return order == sim::ServiceOrder::kMoveThenServe ? "move-then-serve" : "serve-then-move";
-}
-
 Json point_to_json(const sim::Point& p) {
   Json coords = Json::array();
   for (int i = 0; i < p.dim(); ++i) coords.push_back(p[i]);
@@ -164,7 +129,12 @@ TenantSpec spec_from_members(const Json& doc, const std::string& type) {
   if (spec.speed_factor < 1.0) fail("\"speed\" must be >= 1", tenant);
   if (const Json* policy = doc.find("policy"); policy != nullptr) {
     if (!policy->is_string()) fail("\"policy\" must be a string", tenant);
-    spec.policy = policy_from(policy->as_string(), tenant);
+    const std::optional<sim::SpeedLimitPolicy> parsed = sim::parse_policy(policy->as_string());
+    if (!parsed)
+      fail("unknown \"policy\" \"" + policy->as_string() +
+               "\" (expected \"clamp\" or \"throw\")",
+           tenant);
+    spec.policy = *parsed;
   }
   spec.params.move_cost_weight = number_or(doc, "D", 1.0, tenant);
   if (spec.params.move_cost_weight < 1.0) fail("\"D\" must be >= 1", tenant);
@@ -172,7 +142,12 @@ TenantSpec spec_from_members(const Json& doc, const std::string& type) {
   if (spec.params.max_step <= 0.0) fail("\"m\" must be > 0", tenant);
   if (const Json* order = doc.find("order"); order != nullptr) {
     if (!order->is_string()) fail("\"order\" must be a string", tenant);
-    spec.params.order = order_from(order->as_string(), tenant);
+    const std::optional<sim::ServiceOrder> parsed = sim::parse_order(order->as_string());
+    if (!parsed)
+      fail("unknown \"order\" \"" + order->as_string() +
+               "\" (expected \"move-then-serve\" or \"serve-then-move\")",
+           tenant);
+    spec.params.order = *parsed;
   }
 
   spec.rate = number_or(doc, "rate", 0.0, tenant);
@@ -219,10 +194,10 @@ Json tenant_spec_to_json(const TenantSpec& spec) {
   doc.set("dim", spec.dim);
   doc.set("k", spec.fleet_size);
   doc.set("speed", spec.speed_factor);
-  doc.set("policy", policy_name(spec.policy));
+  doc.set("policy", sim::policy_name(spec.policy));
   doc.set("D", spec.params.move_cost_weight);
   doc.set("m", spec.params.max_step);
-  doc.set("order", order_name(spec.params.order));
+  doc.set("order", sim::order_name(spec.params.order));
   // Rate members are emitted only when set, keeping rate-less specs (and
   // thus every pre-rate snapshot/`opened` frame) byte-identical to v1.
   if (spec.rate > 0.0) {

@@ -34,16 +34,6 @@ double service_cost_k(const double* server, int dim, BatchView batch) {
 
 }  // namespace
 
-std::string to_string(ServiceOrder order) {
-  switch (order) {
-    case ServiceOrder::kMoveThenServe:
-      return "move-then-serve";
-    case ServiceOrder::kServeThenMove:
-      return "answer-first";
-  }
-  return "unknown";
-}
-
 double service_cost(const Point& server, BatchView batch) {
   if (batch.empty()) return 0.0;
   MOBSRV_DCHECK(server.dim() == batch.dim());

@@ -13,12 +13,6 @@ class Histogram;
 
 namespace mobsrv::sim {
 
-/// What to do when an algorithm proposes a move beyond its speed limit.
-enum class SpeedLimitPolicy {
-  kThrow,  ///< contract violation (used by tests to catch algorithm bugs)
-  kClamp,  ///< move as far toward the proposal as the limit allows
-};
-
 /// Per-step record for analysis and visualisation.
 struct TraceStep {
   std::size_t t = 0;

@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <initializer_list>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "sim/request_store.hpp"
@@ -30,7 +32,31 @@ enum class ServiceOrder {
   kServeThenMove,  ///< cost_t = Σ d(P_t, v_{t,i}) + D·d(P_t,P_{t+1})
 };
 
-[[nodiscard]] std::string to_string(ServiceOrder order);
+/// What to do when an algorithm proposes a move beyond its speed limit.
+enum class SpeedLimitPolicy {
+  kThrow,  ///< contract violation (used by tests to catch algorithm bugs)
+  kClamp,  ///< move as far toward the proposal as the limit allows
+};
+
+/// The one spelling of each enum value in every on-disk and wire format
+/// (trace files, scenario files, serve frames). The parsers return nullopt
+/// for unknown names, so each format words its own error.
+[[nodiscard]] inline const char* order_name(ServiceOrder order) {
+  return order == ServiceOrder::kMoveThenServe ? "move-then-serve" : "serve-then-move";
+}
+[[nodiscard]] inline std::optional<ServiceOrder> parse_order(std::string_view name) {
+  for (const ServiceOrder order : {ServiceOrder::kMoveThenServe, ServiceOrder::kServeThenMove})
+    if (name == order_name(order)) return order;
+  return std::nullopt;
+}
+[[nodiscard]] inline const char* policy_name(SpeedLimitPolicy policy) {
+  return policy == SpeedLimitPolicy::kThrow ? "throw" : "clamp";
+}
+[[nodiscard]] inline std::optional<SpeedLimitPolicy> parse_policy(std::string_view name) {
+  for (const SpeedLimitPolicy policy : {SpeedLimitPolicy::kThrow, SpeedLimitPolicy::kClamp})
+    if (name == policy_name(policy)) return policy;
+  return std::nullopt;
+}
 
 /// Model constants shared by online algorithms and offline solvers.
 struct ModelParams {

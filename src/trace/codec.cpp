@@ -85,7 +85,7 @@ std::string encode_jsonl(const TraceFile& file) {
   header.set("horizon", file.instance.horizon());
   header.set("D", file.instance.params().move_cost_weight);
   header.set("m", file.instance.params().max_step);
-  header.set("order", order_name(file.instance.params().order));
+  header.set("order", sim::order_name(file.instance.params().order));
   header.set("start", point_to_json(file.instance.start()));
   header.dump_to(out);
   out.push_back('\n');
@@ -126,7 +126,7 @@ std::string encode_jsonl(const TraceFile& file) {
     body.set("algorithm", run.algorithm);
     body.set("algo_seed", run.algo_seed);
     body.set("speed_factor", run.speed_factor);
-    body.set("policy", policy_name(run.policy));
+    body.set("policy", sim::policy_name(run.policy));
     body.set("total_cost", run.total_cost);
     body.set("move_cost", run.move_cost);
     body.set("service_cost", run.service_cost);
@@ -205,7 +205,10 @@ TraceFile decode_jsonl(const std::string& bytes, const std::string& origin) {
   sim::ModelParams params;
   params.move_cost_weight = header.at("D").as_double();
   params.max_step = header.at("m").as_double();
-  params.order = order_from_name(header.at("order").as_string());
+  const std::string& order = header.at("order").as_string();
+  const std::optional<sim::ServiceOrder> parsed_order = sim::parse_order(order);
+  if (!parsed_order) throw TraceError("unknown service order \"" + order + "\"");
+  params.order = *parsed_order;
   const sim::Point start = point_from_json(header.at("start"), dim, origin, "header start");
 
   std::vector<sim::RequestBatch> steps;
@@ -264,7 +267,10 @@ TraceFile decode_jsonl(const std::string& bytes, const std::string& origin) {
       run.algorithm = body.at("algorithm").as_string();
       run.algo_seed = body.at("algo_seed").as_uint64();
       run.speed_factor = body.at("speed_factor").as_double();
-      run.policy = policy_from_name(body.at("policy").as_string());
+      const std::string& policy = body.at("policy").as_string();
+      const std::optional<sim::SpeedLimitPolicy> parsed_policy = sim::parse_policy(policy);
+      if (!parsed_policy) throw TraceError("unknown speed-limit policy \"" + policy + "\"");
+      run.policy = *parsed_policy;
       run.total_cost = body.at("total_cost").as_double();
       run.move_cost = body.at("move_cost").as_double();
       run.service_cost = body.at("service_cost").as_double();
@@ -728,26 +734,6 @@ TraceFile read_trace(const std::filesystem::path& path) {
   std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   if (in.bad()) throw TraceError(path.string() + ": read failed");
   return decode_trace(bytes, path.string());
-}
-
-std::string policy_name(sim::SpeedLimitPolicy policy) {
-  return policy == sim::SpeedLimitPolicy::kThrow ? "throw" : "clamp";
-}
-
-sim::SpeedLimitPolicy policy_from_name(const std::string& name) {
-  if (name == "throw") return sim::SpeedLimitPolicy::kThrow;
-  if (name == "clamp") return sim::SpeedLimitPolicy::kClamp;
-  throw TraceError("unknown speed-limit policy \"" + name + "\"");
-}
-
-std::string order_name(sim::ServiceOrder order) {
-  return order == sim::ServiceOrder::kMoveThenServe ? "move-then-serve" : "serve-then-move";
-}
-
-sim::ServiceOrder order_from_name(const std::string& name) {
-  if (name == "move-then-serve") return sim::ServiceOrder::kMoveThenServe;
-  if (name == "serve-then-move") return sim::ServiceOrder::kServeThenMove;
-  throw TraceError("unknown service order \"" + name + "\"");
 }
 
 }  // namespace mobsrv::trace

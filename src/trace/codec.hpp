@@ -61,11 +61,7 @@ void write_trace(const std::filesystem::path& path, const TraceFile& file);
 [[nodiscard]] std::string encode_trace(const TraceFile& file, Codec codec);
 [[nodiscard]] TraceFile decode_trace(const std::string& bytes, const std::string& origin);
 
-/// Stable string forms used by both codecs and the tools.
+/// Stable codec name used by the tools ("jsonl" or "binary").
 [[nodiscard]] std::string to_string(Codec codec);
-[[nodiscard]] std::string policy_name(sim::SpeedLimitPolicy policy);
-[[nodiscard]] sim::SpeedLimitPolicy policy_from_name(const std::string& name);
-[[nodiscard]] std::string order_name(sim::ServiceOrder order);
-[[nodiscard]] sim::ServiceOrder order_from_name(const std::string& name);
 
 }  // namespace mobsrv::trace

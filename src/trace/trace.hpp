@@ -26,7 +26,7 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// Provenance of a trace file.
 struct TraceMeta {
   std::string name;    ///< scenario name ("theorem1", "import:taxi.csv", ...)
-  std::string source;  ///< producing tool/generator ("corpus", "mobsrv_bench", "import")
+  std::string source;  ///< producing tool/generator ("scenario", "mobsrv_bench", "import")
   std::uint64_t seed = 0;  ///< generator seed (0 when not applicable)
 };
 

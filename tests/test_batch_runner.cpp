@@ -7,8 +7,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "scenario/scenario.hpp"
 #include "trace/batch_runner.hpp"
-#include "trace/corpus.hpp"
 
 namespace mobsrv::trace {
 namespace {
@@ -27,10 +27,10 @@ class BatchRunnerTest : public ::testing::Test {
 
   /// Writes a small mixed-codec corpus with recorded MtC runs.
   std::vector<fs::path> write_small_corpus(std::size_t count) {
-    const std::vector<CorpusScenario>& scenarios = corpus_scenarios();
+    const std::vector<scenario::Scenario> scenarios = scenario::generator_starters();
     std::vector<fs::path> files;
     for (std::size_t i = 0; i < count; ++i) {
-      TraceFile file = make_corpus_trace(scenarios[i % scenarios.size()].name, i, 0.05);
+      TraceFile file = scenario::starter_trace(scenarios[i % scenarios.size()].name, i, 0.05);
       file.runs.push_back(record_run(file.instance, "MtC", i, 1.5));
       const Codec codec = i % 2 == 0 ? Codec::kJsonl : Codec::kBinary;
       const fs::path path =
@@ -105,8 +105,8 @@ TEST_F(BatchRunnerTest, DeterministicAcrossThreadCounts) {
 
 TEST_F(BatchRunnerTest, AdversaryRatiosOnlyWhereAvailable) {
   // theorem1 carries an adversary solution; uniform-noise does not.
-  TraceFile with = make_corpus_trace("theorem1", 1, 0.05);
-  TraceFile without = make_corpus_trace("uniform-noise", 1, 0.05);
+  TraceFile with = scenario::starter_trace("theorem1", 1, 0.05);
+  TraceFile without = scenario::starter_trace("uniform-noise", 1, 0.05);
   write_trace(dir_ / "with.jsonl", with, Codec::kJsonl);
   write_trace(dir_ / "without.jsonl", without, Codec::kJsonl);
 
@@ -127,7 +127,7 @@ TEST_F(BatchRunnerTest, AdversaryRatiosOnlyWhereAvailable) {
 }
 
 TEST_F(BatchRunnerTest, TamperedRecordedRunIsCountedAsMismatch) {
-  TraceFile file = make_corpus_trace("commute", 1, 0.05);
+  TraceFile file = scenario::starter_trace("commute", 1, 0.05);
   file.runs.push_back(record_run(file.instance, "MtC", 1, 1.5));
   file.runs.front().total_cost *= 1.0000001;  // corrupt the recorded cost
   write_trace(dir_ / "tampered.jsonl", file, Codec::kJsonl);

@@ -20,9 +20,9 @@
 #include "core/session_multiplexer.hpp"
 #include "ext/multi_server.hpp"
 #include "median/geometric_median.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/session.hpp"
 #include "stats/rng.hpp"
-#include "trace/corpus.hpp"
 
 namespace mobsrv {
 namespace {
@@ -180,8 +180,8 @@ TEST(FleetRunMulti, SpeedAugmentationMatchesFrozenEngine) {
 // ---------------------------------------------------------------------------
 
 TEST(FleetSession, AdapterReproducesRunOnTraceCorpusBitIdentically) {
-  for (const trace::CorpusScenario& scenario : trace::corpus_scenarios()) {
-    const trace::TraceFile file = trace::make_corpus_trace(scenario.name, 11, 0.05);
+  for (const scenario::Scenario& starter : scenario::generator_starters()) {
+    const trace::TraceFile file = scenario::starter_trace(starter.name, 11, 0.05);
     const sim::Instance& instance = file.instance;
     for (const std::string& name : alg::algorithm_names()) {
       sim::RunOptions options;
@@ -195,10 +195,10 @@ TEST(FleetSession, AdapterReproducesRunOnTraceCorpusBitIdentically) {
       sim::Session session({instance.start()}, instance.params(), *fleet_algo, options);
       for (std::size_t t = 0; t < instance.horizon(); ++t) session.push(instance.step(t));
 
-      EXPECT_EQ(session.total_cost(), reference.total_cost) << scenario.name << " " << name;
-      EXPECT_EQ(session.move_cost(), reference.move_cost) << scenario.name << " " << name;
-      EXPECT_EQ(session.service_cost(), reference.service_cost) << scenario.name << " " << name;
-      EXPECT_EQ(session.position(), reference.final_position) << scenario.name << " " << name;
+      EXPECT_EQ(session.total_cost(), reference.total_cost) << starter.name << " " << name;
+      EXPECT_EQ(session.move_cost(), reference.move_cost) << starter.name << " " << name;
+      EXPECT_EQ(session.service_cost(), reference.service_cost) << starter.name << " " << name;
+      EXPECT_EQ(session.position(), reference.final_position) << starter.name << " " << name;
     }
   }
 }

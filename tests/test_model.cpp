@@ -77,9 +77,20 @@ TEST(Instance, WithOrderFlipsOnlyTheOrder) {
   EXPECT_EQ(flipped.horizon(), inst.horizon());
 }
 
-TEST(ServiceOrder, ToString) {
-  EXPECT_EQ(to_string(ServiceOrder::kMoveThenServe), "move-then-serve");
-  EXPECT_EQ(to_string(ServiceOrder::kServeThenMove), "answer-first");
+TEST(ServiceOrder, WireNamesRoundTrip) {
+  // One spelling per value, shared by trace files, scenario files and
+  // serve frames.
+  EXPECT_STREQ(order_name(ServiceOrder::kMoveThenServe), "move-then-serve");
+  EXPECT_STREQ(order_name(ServiceOrder::kServeThenMove), "serve-then-move");
+  EXPECT_STREQ(policy_name(SpeedLimitPolicy::kThrow), "throw");
+  EXPECT_STREQ(policy_name(SpeedLimitPolicy::kClamp), "clamp");
+  for (const ServiceOrder order : {ServiceOrder::kMoveThenServe, ServiceOrder::kServeThenMove})
+    EXPECT_EQ(parse_order(order_name(order)), order);
+  for (const SpeedLimitPolicy policy : {SpeedLimitPolicy::kThrow, SpeedLimitPolicy::kClamp})
+    EXPECT_EQ(parse_policy(policy_name(policy)), policy);
+  EXPECT_FALSE(parse_order("answer-first").has_value());
+  EXPECT_FALSE(parse_order("").has_value());
+  EXPECT_FALSE(parse_policy("Clamp").has_value());
 }
 
 TEST(ServiceCost, SumOfDistances) {

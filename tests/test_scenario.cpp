@@ -7,6 +7,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "scenario/scenario.hpp"
 #include "trace/trace.hpp"
@@ -165,6 +169,122 @@ TEST(ScenarioParse, OutOfRangeValuesFail) {
   expect_rejected(R"({"v": 1, "name": "x", "kind": "theorem8-moving-client",
                       "params": {"epsilon": 0}})",
                   "\"epsilon\" must be > 0");
+}
+
+/// A parameter's range, written out independently of the scenario tables:
+/// values just outside it and boundary values just inside it.
+struct Bounds {
+  std::vector<std::string> outside;
+  std::vector<std::string> inside;
+};
+
+// kMaxRounds = 2^22 = 4194304 and Point::kMaxDim = 8 bound the integers.
+const Bounds kCountAtLeast0{{"-1", "0.5", "4194305"}, {"0", "4194304"}};
+const Bounds kCountAtLeast1{{"0", "4194305"}, {"1"}};
+const Bounds kDimension{{"0", "9"}, {"1", "8"}};
+const Bounds kAtLeast1{{"0.999", "-1"}, {"1"}};
+const Bounds kAbove0{{"0", "-1e-9"}, {"1e-9"}};
+const Bounds kAtLeast0{{"-1e-9"}, {"0"}};
+const Bounds kClosedUnit{{"-1e-9", "1.0001"}, {"0", "1"}};
+const Bounds kHalfOpenUnit{{"0", "1.0001"}, {"1e-9", "1"}};
+
+using KeyBounds = std::vector<std::pair<std::string, const Bounds*>>;
+
+/// Every numeric parameter of every kind, with its range.
+const std::vector<std::pair<std::string, KeyBounds>>& numeric_ranges() {
+  static const std::vector<std::pair<std::string, KeyBounds>> kRanges = {
+      {"theorem1",
+       {{"horizon", &kCountAtLeast1}, {"d", &kAtLeast1}, {"m", &kAbove0}, {"dim", &kDimension},
+        {"requests_per_step", &kCountAtLeast1}, {"x", &kCountAtLeast0}}},
+      {"theorem2",
+       {{"horizon", &kCountAtLeast1}, {"d", &kAtLeast1}, {"m", &kAbove0}, {"dim", &kDimension},
+        {"delta", &kAbove0}, {"r_min", &kCountAtLeast1}, {"r_max", &kCountAtLeast1},
+        {"x", &kCountAtLeast0}}},
+      {"theorem3",
+       {{"horizon", &kCountAtLeast1}, {"d", &kAtLeast1}, {"m", &kAbove0}, {"dim", &kDimension},
+        {"requests_per_step", &kCountAtLeast1}}},
+      {"theorem8-moving-client",
+       {{"horizon", &kCountAtLeast1}, {"server_speed", &kAbove0}, {"epsilon", &kAbove0},
+        {"d", &kAtLeast1}, {"dim", &kDimension}, {"x", &kCountAtLeast0}}},
+      {"drifting-hotspot",
+       {{"horizon", &kCountAtLeast1}, {"dim", &kDimension}, {"d", &kAtLeast1}, {"m", &kAbove0},
+        {"drift_speed", &kAtLeast0}, {"spread", &kAtLeast0}, {"r_min", &kCountAtLeast1},
+        {"r_max", &kCountAtLeast1}}},
+      {"commute",
+       {{"horizon", &kCountAtLeast1}, {"dim", &kDimension}, {"d", &kAtLeast1}, {"m", &kAbove0},
+        {"site_distance", &kAbove0}, {"period", &kCountAtLeast1}, {"spread", &kAtLeast0},
+        {"requests_per_step", &kCountAtLeast1}}},
+      {"bursts",
+       {{"horizon", &kCountAtLeast1}, {"dim", &kDimension}, {"d", &kAtLeast1}, {"m", &kAbove0},
+        {"drift_speed", &kAtLeast0}, {"spread", &kAtLeast0}, {"r_min", &kCountAtLeast1},
+        {"r_max", &kCountAtLeast1}, {"burst_probability", &kClosedUnit}}},
+      {"uniform-noise",
+       {{"horizon", &kCountAtLeast1}, {"dim", &kDimension}, {"d", &kAtLeast1}, {"m", &kAbove0},
+        {"half_width", &kAbove0}, {"requests_per_step", &kCountAtLeast1}}},
+      {"random-waypoint",
+       {{"horizon", &kCountAtLeast1}, {"dim", &kDimension}, {"speed", &kAbove0},
+        {"half_width", &kAbove0}, {"max_pause", &kCountAtLeast0},
+        {"min_speed_fraction", &kHalfOpenUnit}, {"d", &kAtLeast1}, {"server_speed", &kAbove0}}},
+      {"gauss-markov",
+       {{"horizon", &kCountAtLeast1}, {"dim", &kDimension}, {"speed", &kAbove0},
+        {"alpha", &kClosedUnit}, {"mean_speed_fraction", &kHalfOpenUnit},
+        {"noise_fraction", &kAtLeast0}, {"d", &kAtLeast1}, {"server_speed", &kAbove0}}},
+      {"zigzag",
+       {{"horizon", &kCountAtLeast1}, {"dim", &kDimension}, {"speed", &kAbove0},
+        {"half_period", &kCountAtLeast1}, {"d", &kAtLeast1}, {"server_speed", &kAbove0}}},
+      {"demand", {{"d", &kAtLeast1}, {"m", &kAbove0}}},
+      {"waypoints", {{"d", &kAtLeast1}, {"server_speed", &kAbove0}, {"agent_speed", &kAbove0}}},
+  };
+  return kRanges;
+}
+
+/// A minimal document of \p kind with one extra parameter member.
+std::string doc_with(const std::string& kind, const std::string& member) {
+  std::string params = member;
+  if (kind == "demand" || kind == "waypoints")
+    params += std::string(member.empty() ? "" : ", ") + "\"file\": \"a.csv\"";
+  return R"({"v": 1, "name": "x", "kind": ")" + kind + R"(", "params": {)" + params + "}}";
+}
+
+TEST(ScenarioBounds, EveryNumericKeyRejectsValuesJustOutsideItsRange) {
+  for (const auto& [kind, keys] : numeric_ranges()) {
+    for (const auto& [key, bounds] : keys) {
+      for (const std::string& value : bounds->outside) {
+        SCOPED_TRACE(kind + ": \"" + key + "\": " + value);
+        expect_rejected(doc_with(kind, "\"" + key + "\": " + value), "\"" + key + "\"");
+      }
+      for (const std::string& value : bounds->inside) {
+        SCOPED_TRACE(kind + ": \"" + key + "\": " + value);
+        EXPECT_NO_THROW((void)parse_text(doc_with(kind, "\"" + key + "\": " + value)));
+      }
+    }
+  }
+}
+
+TEST(ScenarioBounds, RangesAboveCoverEveryNumericKeyOfEveryKind) {
+  // The canonical form pins every parameter, so its numeric members are
+  // exactly the keys a kind accepts as numbers.
+  std::vector<std::string> covered;
+  for (const auto& [kind, keys] : numeric_ranges()) {
+    covered.push_back(kind);
+    std::set<std::string> listed;
+    for (const auto& entry : keys) listed.insert(entry.first);
+    std::set<std::string> numeric;
+    const io::Json doc = to_json(parse_text(doc_with(kind, "")));
+    for (const io::Json::Member& member : doc.at("params").as_object())
+      if (member.second.is_number()) numeric.insert(member.first);
+    EXPECT_EQ(listed, numeric) << kind;
+  }
+  EXPECT_EQ(covered, scenario_kinds());
+}
+
+TEST(ScenarioBounds, RMaxBelowRMinFails) {
+  for (const std::string kind : {"theorem2", "drifting-hotspot", "bursts"}) {
+    SCOPED_TRACE(kind);
+    expect_rejected(doc_with(kind, R"("r_min": 3, "r_max": 2)"),
+                    "\"r_max\" must be >= \"r_min\"");
+    EXPECT_NO_THROW((void)parse_text(doc_with(kind, R"("r_min": 3, "r_max": 3)")));
+  }
 }
 
 TEST(ScenarioParse, NonFiniteNumbersFail) {

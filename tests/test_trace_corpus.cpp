@@ -1,18 +1,24 @@
-// Unit tests for trace/corpus: every named scenario materialises, writes,
-// reads back identically and deterministically; the demand/waypoint
+// Unit tests for trace files built from the starter corpus: every generator
+// starter materialises by name (scenario::starter_trace), writes, reads back
+// identically and deterministically; the trace/importers demand/waypoint
 // importers accept well-formed tables and reject malformed ones loudly.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
-#include "trace/corpus.hpp"
+#include "scenario/scenario.hpp"
+#include "trace/importers.hpp"
 #include "trace/replay.hpp"
 
 namespace mobsrv::trace {
 namespace {
 
 namespace fs = std::filesystem;
+using scenario::generator_starters;
+using scenario::starter_trace;
 
 class TraceCorpusTest : public ::testing::Test {
  protected:
@@ -36,30 +42,30 @@ class TraceCorpusTest : public ::testing::Test {
 };
 
 TEST_F(TraceCorpusTest, EveryScenarioRoundTripsAndReplays) {
-  for (const CorpusScenario& scenario : corpus_scenarios()) {
+  for (const scenario::Scenario& starter : generator_starters()) {
     // Tiny scale keeps the full sweep fast.
-    TraceFile file = make_corpus_trace(scenario.name, 3, 0.05);
-    EXPECT_EQ(file.meta.name, scenario.name);
+    TraceFile file = starter_trace(starter.name, 3, 0.05);
+    EXPECT_EQ(file.meta.name, starter.name);
     EXPECT_GE(file.instance.horizon(), 16u);
     file.runs.push_back(record_run(file.instance, "MtC", 3, 1.5));
     for (const Codec codec : {Codec::kJsonl, Codec::kBinary}) {
-      const TraceFile back = decode_trace(encode_trace(file, codec), scenario.name);
-      EXPECT_TRUE(identical(file, back)) << scenario.name << " via " << to_string(codec);
-      EXPECT_TRUE(replay(back).all_match()) << scenario.name << " via " << to_string(codec);
+      const TraceFile back = decode_trace(encode_trace(file, codec), starter.name);
+      EXPECT_TRUE(identical(file, back)) << starter.name << " via " << to_string(codec);
+      EXPECT_TRUE(replay(back).all_match()) << starter.name << " via " << to_string(codec);
     }
   }
 }
 
 TEST_F(TraceCorpusTest, GenerationIsDeterministicInSeedAndScale) {
-  const std::string bytes_a = encode_trace(make_corpus_trace("bursts", 9, 0.1), Codec::kBinary);
-  const std::string bytes_b = encode_trace(make_corpus_trace("bursts", 9, 0.1), Codec::kBinary);
-  const std::string bytes_c = encode_trace(make_corpus_trace("bursts", 10, 0.1), Codec::kBinary);
+  const std::string bytes_a = encode_trace(starter_trace("bursts", 9, 0.1), Codec::kBinary);
+  const std::string bytes_b = encode_trace(starter_trace("bursts", 9, 0.1), Codec::kBinary);
+  const std::string bytes_c = encode_trace(starter_trace("bursts", 10, 0.1), Codec::kBinary);
   EXPECT_EQ(bytes_a, bytes_b);
   EXPECT_NE(bytes_a, bytes_c);
 }
 
 TEST_F(TraceCorpusTest, MovingClientScenariosCarryTheirPaths) {
-  const TraceFile file = make_corpus_trace("random-waypoint", 1, 0.05);
+  const TraceFile file = starter_trace("random-waypoint", 1, 0.05);
   ASSERT_TRUE(file.moving_client.has_value());
   EXPECT_EQ(file.moving_client->agents.size(), 1u);
   EXPECT_EQ(file.moving_client->horizon(), file.instance.horizon());
@@ -68,16 +74,21 @@ TEST_F(TraceCorpusTest, MovingClientScenariosCarryTheirPaths) {
 }
 
 TEST_F(TraceCorpusTest, LowerBoundScenariosCarryTheAdversary) {
-  const TraceFile file = make_corpus_trace("theorem1", 2, 0.05);
+  const TraceFile file = starter_trace("theorem1", 2, 0.05);
   ASSERT_TRUE(file.adversary.has_value());
   EXPECT_GT(file.adversary->cost, 0.0);
   EXPECT_EQ(file.adversary->positions.size(), file.instance.horizon() + 1);
 }
 
 TEST_F(TraceCorpusTest, UnknownScenarioThrows) {
-  EXPECT_THROW((void)make_corpus_trace("no-such-scenario", 0), ContractViolation);
-  EXPECT_FALSE(is_corpus_scenario("no-such-scenario"));
-  EXPECT_TRUE(is_corpus_scenario("commute"));
+  EXPECT_THROW((void)starter_trace("no-such-scenario", 0), ContractViolation);
+  // Importer and fleet starters have no single-server horizon to scale.
+  EXPECT_THROW((void)starter_trace("inline-demand", 0), ContractViolation);
+  EXPECT_THROW((void)starter_trace("fleet-noise", 0), ContractViolation);
+  EXPECT_NO_THROW((void)starter_trace("commute", 0, 0.05));
+  // A scale that is not positive, or that overflows the horizon, is refused.
+  for (const double scale : {0.0, -1.0, std::nan(""), 1e9})
+    EXPECT_THROW((void)starter_trace("commute", 0, scale), ContractViolation) << scale;
 }
 
 TEST_F(TraceCorpusTest, WriteCorpusProducesOneFilePerScenario) {
@@ -85,12 +96,21 @@ TEST_F(TraceCorpusTest, WriteCorpusProducesOneFilePerScenario) {
   options.dir = dir_ / "corpus";
   options.codec = Codec::kBinary;
   Recorder recorder(options);
-  const std::vector<fs::path> paths = write_corpus(recorder, 5, 0.05);
-  EXPECT_EQ(paths.size(), corpus_scenarios().size());
+  const std::vector<fs::path> paths = scenario::write_corpus(recorder, 5, 0.05);
+  std::set<std::string> written;
   for (const fs::path& path : paths) {
     EXPECT_TRUE(fs::is_regular_file(path)) << path;
     EXPECT_EQ(path.extension(), ".mtb");
+    written.insert(read_trace(path).meta.name);
   }
+  // The 12 generator starters, one file each.
+  const std::set<std::string> expected = {
+      "theorem1",         "theorem2",            "theorem3",        "theorem8-moving-client",
+      "drifting-hotspot", "drifting-hotspot-1d", "commute",         "bursts",
+      "uniform-noise",    "random-waypoint",     "gauss-markov",    "zigzag",
+  };
+  EXPECT_EQ(paths.size(), expected.size());
+  EXPECT_EQ(written, expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -94,8 +94,9 @@ void append_runs(trace::TraceFile& file, const std::vector<std::string>& algos,
 
 int cmd_list() {
   std::cout << "corpus scenarios:\n";
-  for (const trace::CorpusScenario& s : trace::corpus_scenarios())
-    std::cout << "  " << s.name << "  —  " << s.description << "\n";
+  for (const scenario::Scenario& sc : scenario::generator_starters())
+    std::cout << "  " << sc.name << "  —  kind " << sc.kind << ", T = " << sc.params.horizon
+              << ", dim " << sc.params.dim << "\n";
   return 0;
 }
 
@@ -106,7 +107,7 @@ int cmd_record(const io::Args& args) {
   const double scale = args.get_double("scale", 1.0);
   const double speed_factor = args.get_double("speed-factor", 1.5);
 
-  trace::TraceFile file = trace::make_corpus_trace(scenario, seed, scale);
+  trace::TraceFile file = scenario::starter_trace(scenario, seed, scale);
   append_runs(file, parse_algos(args.get_string("algos", "")), speed_factor, seed);
   trace::write_trace(out, file);
   std::cout << "recorded " << file.meta.name << " (T = " << file.instance.horizon() << ", dim "
@@ -161,7 +162,7 @@ io::Json inspect_json(const std::filesystem::path& path, const trace::TraceFile&
   root.set("requests", file.instance.total_requests());
   root.set("D", file.instance.params().move_cost_weight);
   root.set("m", file.instance.params().max_step);
-  root.set("order", trace::order_name(file.instance.params().order));
+  root.set("order", sim::order_name(file.instance.params().order));
   root.set("has_moving_client", file.moving_client.has_value());
   if (file.moving_client) root.set("agents", file.moving_client->agents.size());
   root.set("has_adversary", file.adversary.has_value());
@@ -195,7 +196,7 @@ int cmd_inspect(const io::Args& args) {
             << ", " << file.instance.total_requests() << " requests, D = "
             << io::format_double(file.instance.params().move_cost_weight) << ", m = "
             << io::format_double(file.instance.params().max_step) << ", "
-            << trace::order_name(file.instance.params().order) << "\n";
+            << sim::order_name(file.instance.params().order) << "\n";
   if (file.moving_client)
     std::cout << "  moving client: " << file.moving_client->agents.size()
               << " agent(s), agent speed "
@@ -235,7 +236,7 @@ int cmd_corpus(const io::Args& args) {
   rec_options.codec = trace::codec_from_name(codec_name);
   trace::Recorder recorder(rec_options);
   const std::vector<std::filesystem::path> paths =
-      trace::write_corpus(recorder, seed, scale, algos, speed_factor);
+      scenario::write_corpus(recorder, seed, scale, algos, speed_factor);
   for (const std::filesystem::path& path : paths) std::cout << "  " << path.string() << "\n";
   std::cout << "corpus: wrote " << paths.size() << " scenario files to " << dir << "\n";
   return 0;
