@@ -30,6 +30,10 @@
 ///                               (lean=false); reports the accept->outcome
 ///                               ingest-latency p50/p99 from the service's
 ///                               own serve.ingest_latency_ns histogram.
+///   * serve/metrics_render    — --metrics-out cuts over 8192 open tenants
+///                               with 512 touched between cuts: the cached
+///                               cut (full:0) against the full render
+///                               (full:1); `steps` counts tenant rows.
 ///   * engine/step_latency     — sim::Session with the RunOptions
 ///                               step_latency hook attached: per-push wall
 ///                               time from the histogram the engine fills.
@@ -361,6 +365,63 @@ void BM_ServeIngestP99(benchmark::State& state, Sizes sizes) {
   state.counters["p50_ns"] = static_cast<double>(summary.p50);
   state.counters["p99_ns"] = static_cast<double>(summary.p99);
   state.counters["tenants"] = static_cast<double>(tenants);
+}
+
+// ---------------------------------------------------------------------------
+// --metrics-out cuts at serve-persist's shape: 8192 open tenants, 512 of them
+// touched between cuts (16384 steps per cut, 32-step epochs on a rotating
+// hot set). full:0 is the service's cut (ServeTelemetry::metrics_cut, which
+// re-renders only the touched rows); full:1 is the full render of the same
+// state. The per-second `steps` counter counts tenant rows written.
+// ---------------------------------------------------------------------------
+
+void BM_MetricsRender(benchmark::State& state) {
+  constexpr std::size_t kTenants = 8192;
+  constexpr std::size_t kTouched = 512;
+  constexpr std::size_t kEpoch = 32;
+  const bool full = state.range(0) != 0;
+  par::ThreadPool pool(1);
+  core::SessionMultiplexer mux(pool);
+  mobsrv::serve::ServeTelemetry telemetry(/*lean=*/false);
+  std::vector<std::shared_ptr<sim::Instance>> workloads;
+  for (std::size_t s = 0; s < kTenants; ++s) {
+    workloads.push_back(std::make_shared<sim::Instance>(Point::zero(1), sim::ModelParams{},
+                                                        sim::RequestStore(1)));
+    core::SessionSpec spec;
+    spec.workload = workloads.back();
+    spec.algorithm = "Lazy";
+    spec.tenant = "t" + std::to_string(s);
+    const std::size_t slot = mux.add(spec);
+    telemetry.tenant_row(slot, spec.tenant);
+    telemetry.journal().record(mobsrv::obs::EventType::kOpen, spec.tenant, "Lazy");
+  }
+  // The first cut renders every row; the row measures the steady state.
+  benchmark::DoNotOptimize(telemetry.metrics_cut(mux).size());
+  stats::Rng rng(0x3E7);
+  std::size_t hot = 0;
+  std::uint64_t rows = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t i = 0; i < kTouched; ++i, hot = (hot + 1) % kTenants) {
+      for (std::size_t t = 0; t < kEpoch; ++t)
+        workloads[hot]->push_step(sim::RequestBatch{{Point{rng.uniform(-10.0, 10.0)}}});
+      mux.drain(hot);
+      mobsrv::serve::TenantTelemetry& row = telemetry.tenant_row(hot, "");
+      row.reqs += kEpoch;
+      row.outcomes += kEpoch;
+      for (std::size_t t = 0; t < kEpoch; ++t) row.ingest_latency.record(20'000 + 1'000 * t);
+    }
+    state.ResumeTiming();
+    const std::string cut =
+        full ? telemetry.snapshot_ndjson(mux, mux.snapshot()) : telemetry.metrics_cut(mux);
+    benchmark::DoNotOptimize(cut.data());
+    benchmark::ClobberMemory();
+    rows += kTenants;
+  }
+  state.counters["steps"] =
+      benchmark::Counter(static_cast<double>(rows), benchmark::Counter::kIsRate);
+  state.counters["tenants"] = static_cast<double>(kTenants);
+  state.counters["touched"] = static_cast<double>(kTouched);
 }
 
 // The PR 10 gate: the fault hooks on the serve hot path (serve.read per
@@ -711,6 +772,13 @@ int main(int argc, char** argv) {
       ->ArgName("tenants")
       ->MinTime(min_time)
       ->UseRealTime();
+  for (const int full : {0, 1}) {
+    benchmark::RegisterBenchmark("serve/metrics_render", BM_MetricsRender)
+        ->Arg(full)
+        ->ArgName("full")
+        ->MinTime(min_time)
+        ->UseRealTime();
+  }
   for (const int armed : {0, 1}) {
     benchmark::RegisterBenchmark("serve/fault_hook_overhead", BM_FaultHookOverhead, sizes)
         ->Arg(armed)

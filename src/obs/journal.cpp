@@ -64,10 +64,8 @@ void Journal::record(EventType type, std::string tenant, std::string detail) {
 
 std::vector<Event> Journal::events() const {
   std::vector<Event> out;
-  const std::uint64_t kept = std::min<std::uint64_t>(total_, ring_.size());
-  out.reserve(static_cast<std::size_t>(kept));
-  for (std::uint64_t seq = total_ - kept; seq < total_; ++seq)
-    out.push_back(ring_[static_cast<std::size_t>(seq % ring_.size())]);
+  out.reserve(static_cast<std::size_t>(total_ - dropped()));
+  for (std::uint64_t seq = dropped(); seq < total_; ++seq) out.push_back(at(seq));
   return out;
 }
 

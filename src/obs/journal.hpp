@@ -66,10 +66,18 @@ class Journal {
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<Event> events() const;
 
+  /// The retained event with sequence number \p seq, in place (no copy).
+  /// Requires dropped() <= seq < total(). An event never changes once
+  /// recorded, so a rendering keyed by seq stays valid until it is evicted.
+  [[nodiscard]] const Event& at(std::uint64_t seq) const noexcept {
+    return ring_[static_cast<std::size_t>(seq % ring_.size())];
+  }
+
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
   /// Events recorded over the journal's lifetime (retained + dropped).
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Events evicted by the bounded ring.
+  /// Events evicted by the bounded ring — also the seq of the oldest
+  /// retained event.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     const std::uint64_t kept = std::min<std::uint64_t>(total_, ring_.size());
     return total_ - kept;

@@ -224,6 +224,7 @@ void Service::handle_close(const std::string& name, std::ostream& out) {
   if (table_.find(name) == nullptr) return;  // the pump failed and closed it
   const std::size_t slot = tenant->slot;
   mux_.close(slot);
+  telemetry_.touch(slot);
   telemetry_.tenants_closed.inc();
   telemetry_.tenants_open.add(-1);
   telemetry_.journal().record(obs::EventType::kClose, name);
@@ -354,6 +355,9 @@ void Service::pump(std::ostream& out) {
               "rate " + std::to_string(tenant->spec.rate) + " steps/round, queued " +
                   std::to_string(tenant->workload->horizon() - tenant->emitted));
         }
+        // A throttled round needs no telemetry mark: it grants this slot no
+        // step, so the slot stays pending, and the pump only ends after its
+        // next outcome, whose tenant_row() call marks the row.
         tenant->throttled_seen = stats.throttled_rounds;
         if (tenant->workload->horizon() > tenant->emitted)
           pending_slots_[keep++] = slot;
@@ -535,8 +539,8 @@ void Service::write_metrics(std::ostream& out, bool force) {
   for (std::size_t attempt = 0; attempt <= options_.retry_limit; ++attempt) {
     if (attempt != 0) retry_backoff("metrics snapshot", attempt, last_error);
     try {
-      trace::write_bytes_atomic(options_.metrics_path,
-                                telemetry_.snapshot_ndjson(mux_, mux_.snapshot()), write_options);
+      trace::write_bytes_atomic(options_.metrics_path, telemetry_.metrics_cut(mux_),
+                                write_options);
       steps_since_metrics_ = 0;
       clear_degraded();
       return;

@@ -52,14 +52,26 @@ void set_summary(Json& doc, const obs::HistogramSummary& summary) {
   doc.set("max", summary.max);
 }
 
-/// {"kind": <kind>, ...body members...} — the NDJSON line discriminator
-/// leads every snapshot line.
-Json with_kind(const char* kind, Json body) {
+/// Appends {"kind": <kind>, ...body members...} and a newline — the NDJSON
+/// line discriminator leads every snapshot line.
+void append_line(std::string& out, const char* kind, Json body) {
   Json doc = Json::object();
   doc.set("kind", kind);
   for (Json::Member& member : body.as_object())
     doc.set(std::move(member.first), std::move(member.second));
-  return doc;
+  out += doc.dump();
+  out += '\n';
+}
+
+/// The one tenant-row renderer: the full render and the cached cut both
+/// produce every {"kind":"tenant"} line here.
+void append_tenant(std::string& out, const core::SessionStats& stats, const TenantTelemetry& row) {
+  const TenantObsRow obs_row = row.row();
+  append_line(out, "tenant", stats_to_json(stats, &obs_row));
+}
+
+void append_event(std::string& out, const obs::Event& event) {
+  append_line(out, "event", obs::Journal::event_to_json(event));
 }
 
 std::uint64_t wall_ms() noexcept {
@@ -134,8 +146,15 @@ ServeTelemetry::ServeTelemetry(bool lean)
 
 TenantTelemetry& ServeTelemetry::tenant_row(std::size_t slot, const std::string& tenant) {
   if (slot >= rows_.size()) rows_.resize(slot + 1);
-  if (rows_[slot].tenant.empty()) rows_[slot].tenant = tenant;
-  return rows_[slot];
+  TenantTelemetry& row = rows_[slot];
+  if (row.tenant.empty()) row.tenant = tenant;
+  row.dirty = true;
+  return row;
+}
+
+void ServeTelemetry::touch(std::size_t slot) {
+  if (slot >= rows_.size()) rows_.resize(slot + 1);
+  rows_[slot].dirty = true;
 }
 
 const TenantTelemetry* ServeTelemetry::row(std::size_t slot) const noexcept {
@@ -150,8 +169,11 @@ std::vector<TenantObsRow> ServeTelemetry::rows(std::size_t count) const {
 }
 
 io::Json::Array ServeTelemetry::collect(const core::SessionMultiplexer& mux) const {
+  return collect(mux.totals());
+}
+
+io::Json::Array ServeTelemetry::collect(const core::MuxTotals& totals) const {
   io::Json::Array metrics = registry_.to_json();
-  const core::MuxTotals totals = mux.totals();
 
   Json queue = metric_header(kExternal[0]);
   queue.set("value", totals.queue_depth);
@@ -180,11 +202,7 @@ io::Json::Array ServeTelemetry::collect(const core::SessionMultiplexer& mux) con
   return metrics;
 }
 
-std::string ServeTelemetry::snapshot_ndjson(const core::SessionMultiplexer& mux,
-                                            const std::vector<core::SessionStats>& stats) const {
-  std::string out;
-  const core::MuxTotals totals = mux.totals();
-
+void ServeTelemetry::append_head(std::string& out, const core::MuxTotals& totals) const {
   Json meta = Json::object();
   meta.set("kind", "meta");
   meta.set("v", std::uint64_t{1});
@@ -195,22 +213,46 @@ std::string ServeTelemetry::snapshot_ndjson(const core::SessionMultiplexer& mux,
   meta.set("steps", totals.steps);
   out += meta.dump();
   out += '\n';
+  for (Json& metric : collect(totals)) append_line(out, "metric", std::move(metric));
+}
 
-  for (Json& metric : collect(mux)) {
-    out += with_kind("metric", std::move(metric)).dump();
-    out += '\n';
-  }
+std::string ServeTelemetry::snapshot_ndjson(const core::SessionMultiplexer& mux,
+                                            const std::vector<core::SessionStats>& stats) const {
+  std::string out;
+  append_head(out, mux.totals());
+  const TenantTelemetry blank;  // slots with no serve-side activity
+  for (std::size_t slot = 0; slot < stats.size(); ++slot)
+    append_tenant(out, stats[slot], slot < rows_.size() ? rows_[slot] : blank);
+  for (std::uint64_t seq = journal_.dropped(); seq < journal_.total(); ++seq)
+    append_event(out, journal_.at(seq));
+  return out;
+}
 
-  const std::vector<TenantObsRow> obs_rows = rows(stats.size());
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    out += with_kind("tenant", stats_to_json(stats[i], &obs_rows[i])).dump();
-    out += '\n';
+std::string ServeTelemetry::metrics_cut(const core::SessionMultiplexer& mux) {
+  std::string out;
+  out.reserve(cut_bytes_);
+  append_head(out, mux.totals());
+  if (rows_.size() < mux.size()) rows_.resize(mux.size());
+  for (std::size_t slot = 0; slot < mux.size(); ++slot) {
+    TenantTelemetry& row = rows_[slot];
+    if (row.dirty) {
+      row.line.clear();
+      append_tenant(row.line, mux.stats(slot), row);
+      row.dirty = false;
+    }
+    out += row.line;
   }
-
-  for (const obs::Event& event : journal_.events()) {
-    out += with_kind("event", obs::Journal::event_to_json(event)).dump();
-    out += '\n';
+  if (event_lines_.empty()) event_lines_.resize(journal_.capacity());
+  for (std::uint64_t seq = journal_.dropped(); seq < journal_.total(); ++seq) {
+    EventLine& cached = event_lines_[static_cast<std::size_t>(seq % event_lines_.size())];
+    if (cached.seq != seq) {
+      cached.text.clear();
+      append_event(cached.text, journal_.at(seq));
+      cached.seq = seq;
+    }
+    out += cached.text;
   }
+  cut_bytes_ = out.size();
   return out;
 }
 

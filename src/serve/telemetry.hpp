@@ -8,9 +8,10 @@
 /// reused, so a row outlives its tenant and per-tenant accounting survives
 /// churn). Service calls inc()/record() at each wiring site; collect()
 /// assembles the full registry dump (including the mux-owned metrics) for
-/// the `metrics` frame and snapshot_ndjson() renders the --metrics-out
-/// file. Everything here is observational only: results are bit-identical
-/// with telemetry on, off, or --lean (DESIGN.md §7).
+/// the `metrics` frame and metrics_cut() renders the --metrics-out file,
+/// re-rendering only the tenant rows touched since the previous cut.
+/// Everything here is observational only: results are bit-identical with
+/// telemetry on, off, or --lean (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,14 @@ struct TenantTelemetry {
 
   [[nodiscard]] TenantObsRow row() const;
 
+  /// True when this row or its slot's mux accounting changed since `line`
+  /// was rendered. Set by ServeTelemetry::tenant_row() and touch(); cleared
+  /// by metrics_cut(). New rows start dirty.
+  bool dirty = true;
+  /// Cached {"kind":"tenant"} NDJSON line of the last cut (current while
+  /// !dirty).
+  std::string line;
+
  private:
   std::vector<std::uint64_t> accepted_ns_;
   std::size_t accepted_head_ = 0;
@@ -74,6 +83,17 @@ class ServeTelemetry {
   obs::Registry registry_;
   obs::Journal journal_;
   std::vector<TenantTelemetry> rows_;  ///< by slot id, grow-only
+  /// Rendered {"kind":"event"} lines by journal ring position, keyed by seq.
+  struct EventLine {
+    std::uint64_t seq = ~std::uint64_t{0};
+    std::string text;
+  };
+  std::vector<EventLine> event_lines_;
+  std::size_t cut_bytes_ = 0;  ///< size of the previous cut (reserve hint)
+
+  [[nodiscard]] io::Json::Array collect(const core::MuxTotals& totals) const;
+  /// The meta line and the metric lines of a cut.
+  void append_head(std::string& out, const core::MuxTotals& totals) const;
 
  public:
   explicit ServeTelemetry(bool lean);
@@ -111,8 +131,12 @@ class ServeTelemetry {
     return registry_.entries();
   }
 
-  /// The row for mux slot \p slot, created (and labelled) on first use.
+  /// The row for mux slot \p slot, created (and labelled) on first use,
+  /// and marked dirty: callers get it to change it.
   TenantTelemetry& tenant_row(std::size_t slot, const std::string& tenant);
+  /// Marks slot \p slot's row dirty after a change to the mux accounting
+  /// it renders that no tenant_row() call sees (a graceful close).
+  void touch(std::size_t slot);
   /// The row for slot \p slot, or nullptr if never created.
   [[nodiscard]] const TenantTelemetry* row(std::size_t slot) const noexcept;
 
@@ -128,10 +152,16 @@ class ServeTelemetry {
 
   /// The --metrics-out NDJSON snapshot: one {"kind":"meta"} header line,
   /// then {"kind":"metric"} / {"kind":"tenant"} / {"kind":"event"} lines
-  /// (docs/OBSERVABILITY.md documents the schema). \p stats must be the
-  /// mux's current snapshot().
+  /// (docs/OBSERVABILITY.md documents the schema), every line rendered
+  /// afresh. \p stats must be the mux's current snapshot().
   [[nodiscard]] std::string snapshot_ndjson(const core::SessionMultiplexer& mux,
                                             const std::vector<core::SessionStats>& stats) const;
+
+  /// The same bytes as snapshot_ndjson(mux, mux.snapshot()), in
+  /// O(rows dirtied since the previous cut + journal): clean tenant rows
+  /// and already-rendered events are copied from the cache. Only the
+  /// mux.totals() scan stays O(population).
+  [[nodiscard]] std::string metrics_cut(const core::SessionMultiplexer& mux);
 };
 
 }  // namespace mobsrv::serve

@@ -216,6 +216,9 @@ TEST(Journal, BoundedRingEvictsOldestAndCountsDrops) {
   // Seq numbers stay continuous: the retained window is the newest 4.
   EXPECT_EQ(events.front().seq, 6u);
   EXPECT_EQ(events.back().seq, 9u);
+  // at(seq) reads the same retained window in place.
+  for (std::uint64_t seq = journal.dropped(); seq < journal.total(); ++seq)
+    EXPECT_EQ(journal.at(seq).seq, seq);
 }
 
 TEST(Journal, EventToJsonSchema) {

@@ -8,13 +8,18 @@
 //   * admission failures reject the candidate only;
 //   * tenant churn (open/close) between periodic saves restores to a
 //     consistent tenant table;
-//   * snapshot corruption/truncation fails loudly on restore.
+//   * snapshot corruption/truncation fails loudly on restore;
+//   * every --metrics-out cut equals a full render byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
+#include <utility>
 
 #include "algorithms/registry.hpp"
 #include "fault/injector.hpp"
@@ -22,6 +27,7 @@
 #include "obs/journal.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
+#include "stats/rng.hpp"
 #include "trace/checkpoint.hpp"
 
 namespace mobsrv {
@@ -741,6 +747,133 @@ TEST_F(ServeServiceTest, MetricsOutWritesAtomicNdjsonSnapshot) {
   EXPECT_GE(metric, 15u) << "every catalogued metric is in the snapshot";
   EXPECT_EQ(tenant, 1u);
   EXPECT_GE(event, 3u) << "open, close, drain at minimum";
+}
+
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+/// \p text with meta.unix_ms, the one wall-clock member of a cut, zeroed.
+std::string mask_unix_ms(std::string text) {
+  const std::string key = "\"unix_ms\":";
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return text;
+  const std::size_t begin = at + key.size();
+  std::size_t end = begin;
+  while (end < text.size() && text[end] >= '0' && text[end] <= '9') ++end;
+  text.replace(begin, end - begin, "0");
+  return text;
+}
+
+// The cut renders every mux slot, also one no telemetry call ever labelled.
+TEST(ServeTelemetry, MetricsCutRendersSlotsWithNoTelemetryRow) {
+  par::ThreadPool pool(1);
+  core::SessionMultiplexer mux(pool);
+  for (int s = 0; s < 3; ++s) {
+    auto workload = std::make_shared<sim::Instance>(Point{0.0}, sim::ModelParams{},
+                                                    sim::RequestStore(1));
+    workload->push_step(sim::RequestBatch{{Point{1.0 + s}}});
+    core::SessionSpec spec;
+    spec.workload = workload;
+    spec.algorithm = "MtC";
+    spec.tenant = "t" + std::to_string(s);
+    mux.add(std::move(spec));
+  }
+  mux.step(1);
+  serve::ServeTelemetry telemetry(/*lean=*/false);
+  ++telemetry.tenant_row(1, "t1").reqs;  // slots 0 and 2 have no row
+  EXPECT_EQ(mask_unix_ms(telemetry.metrics_cut(mux)),
+            mask_unix_ms(telemetry.snapshot_ndjson(mux, mux.snapshot())));
+}
+
+// A --metrics-out cut re-renders only the rows touched since the previous
+// cut; its bytes must still equal a full render of the service's state.
+// The seeded frame mix reaches every path that changes a tenant row: opens,
+// reqs, busy bounces, closes, a dim-mismatch error, idle-timeout reaps,
+// throttled rate-limited tenants, metrics frames, a journal past its
+// capacity, and a restore from a snapshot.
+TEST_F(ServeServiceTest, MetricsCutsEqualAFullRenderByteForByte) {
+  ServiceOptions options;
+  options.metrics_path = dir_ / "metrics.ndjson";
+  options.metrics_every = 7;  // several cached cuts inside every round
+  options.snapshot_path = dir_ / "svc.msrvss";
+  options.max_inflight = 2;   // bursts bounce with busy frames
+  options.idle_timeout = 40;  // tenants left alone get reaped
+  options.durable = false;
+  options.threads = 2;
+  auto service = std::make_unique<Service>(options);
+
+  stats::Rng rng(20);
+  std::vector<std::pair<std::string, int>> names;  // every tenant ever opened, with its dim
+  const auto pick = [&]() -> const std::pair<std::string, int>& {
+    // Mostly the recent tenants, which are likely still open.
+    const auto n = static_cast<std::int64_t>(names.size());
+    const std::int64_t i = rng.uniform_int(std::max<std::int64_t>(0, n - 12), n - 1);
+    return names[static_cast<std::size_t>(i)];
+  };
+  const auto random_req = [&](const std::string& name, int dim) {
+    std::vector<Point> requests(static_cast<std::size_t>(rng.uniform_int(0, 2)), Point(dim));
+    for (Point& p : requests)
+      for (int c = 0; c < dim; ++c) p[c] = rng.uniform(-4.0, 4.0);
+    return req_line(name, requests);
+  };
+
+  constexpr int kRounds = 60;
+  constexpr int kRestoreRound = 30;
+  std::uint64_t dropped_before_restore = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round == kRestoreRound) {
+      // Every round ends in a graceful drain, which saved a snapshot.
+      dropped_before_restore = service->telemetry().journal().dropped();
+      service = std::make_unique<Service>(options);
+      service->restore(options.snapshot_path);
+    }
+    std::vector<std::string> lines;
+    for (int frame = 0; frame < 120; ++frame) {
+      const std::int64_t roll = rng.uniform_int(0, 99);
+      if (names.empty() || roll < 8) {
+        const std::string name = std::string("t") + std::to_string(names.size());
+        const int dim = 1 + static_cast<int>(names.size() % 2);
+        io::Json open = io::Json::parse(open_line(name, "MtC", dim, 1, names.size()));
+        if (names.size() % 3 == 0) open.set("rate", 0.5);  // throttles under bursts
+        lines.push_back(open.dump());
+        names.emplace_back(name, dim);
+      } else if (roll < 70) {
+        const auto& [name, dim] = pick();
+        lines.push_back(random_req(name, dim));
+      } else if (roll < 82) {
+        const auto& [name, dim] = pick();  // a burst past max_inflight
+        for (int i = 0; i < 5; ++i) lines.push_back(random_req(name, dim));
+      } else if (roll < 88) {
+        lines.push_back(R"({"type":"close","tenant":")" + pick().first + R"("})");
+      } else if (roll < 90) {
+        const auto& [name, dim] = pick();  // wrong dim: closes the tenant
+        lines.push_back(random_req(name, dim + 1));
+      } else if (roll < 93) {
+        lines.push_back(R"({"type":"metrics"})");
+      } else {
+        lines.push_back(R"({"type":"stats","tenant":")" + pick().first + R"("})");
+      }
+    }
+    ASSERT_EQ(run_lines(*service, lines).reason, ExitReason::kEof);
+    const std::string full =
+        service->telemetry().snapshot_ndjson(service->mux(), service->mux().snapshot());
+    ASSERT_EQ(mask_unix_ms(read_text(options.metrics_path)), mask_unix_ms(full))
+        << "round " << round;
+  }
+
+  // The mix reached every path that marks a row.
+  const serve::ServeTelemetry& telemetry = service->telemetry();
+  EXPECT_GT(dropped_before_restore, 0u);
+  EXPECT_GT(telemetry.journal().dropped(), 0u);
+  EXPECT_GT(telemetry.busys.value(), 0u);
+  EXPECT_GT(telemetry.idle_timeouts.value(), 0u);
+  EXPECT_GT(telemetry.errors.value(), telemetry.idle_timeouts.value());
+  EXPECT_GT(telemetry.throttles.value(), 0u);
+  EXPECT_GT(telemetry.tenants_closed.value(),
+            telemetry.errors.value());  // graceful closes too
+  EXPECT_GT(service->mux().totals().throttled, 0u);
 }
 
 // ---------------------------------------------------------------------------

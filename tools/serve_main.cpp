@@ -178,7 +178,6 @@ int listen_tcp(int port) {
 
 int listen_unix(const std::string& path) {
   sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) die("--unix path too long: " + path);
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listener < 0) die(std::string("socket: ") + std::strerror(errno));
   ::unlink(path.c_str());
@@ -249,6 +248,7 @@ int main(int argc, char** argv) {
   serve::ServiceOptions options;
   fault::Injector injector;  // inert unless --fault-plan arms it
   int tcp_port = 0;
+  bool resume = false;
   try {
     options.snapshot_path = args.get_string("snapshot", "");
     options.checkpoint_every = static_cast<std::size_t>(args.get_uint64("checkpoint-every", 0));
@@ -261,6 +261,7 @@ int main(int argc, char** argv) {
     options.compact_ratio = args.get_double("compact-ratio", 4.0);
     options.idle_timeout = static_cast<std::size_t>(args.get_uint64("idle-timeout", 0));
     options.durable = !args.get_bool("no-durable", false);
+    resume = args.get_bool("resume", false);
     if (args.has("fault-plan")) {
       // A bad plan is a bad command line: PlanError lands in this catch and
       // exits 2 before the service starts.
@@ -273,6 +274,9 @@ int main(int argc, char** argv) {
     die(error.what());
   }
   options.stop = &g_stop;
+  // Every usage error exits 2 here, before the Service starts its pool and
+  // sweeps stale .tmp files.
+  if (resume && options.snapshot_path.empty()) die("--resume needs --snapshot");
   if (options.checkpoint_every > 0 && options.snapshot_path.empty())
     die("--checkpoint-every needs --snapshot");
   if (options.metrics_every > 0 && options.metrics_path.empty())
@@ -281,18 +285,17 @@ int main(int argc, char** argv) {
   if (options.default_rate < 0.0) die("--default-rate must be >= 0");
   if (options.compact_ratio <= 0.0) die("--compact-ratio must be > 0");
   if (args.has("tcp") && args.has("unix")) die("--tcp and --unix are mutually exclusive");
+  if (args.has("unix") && args.get_string("unix", "").size() >= sizeof(sockaddr_un::sun_path))
+    die("--unix path too long: " + args.get_string("unix", ""));
 
   install_signal_handlers();
 
   try {
     serve::Service service(options);
-    if (args.get_bool("resume", false)) {
-      if (options.snapshot_path.empty()) die("--resume needs --snapshot");
-      if (std::filesystem::exists(options.snapshot_path)) {
-        service.restore(options.snapshot_path);
-        std::cerr << "mobsrv_serve: resumed " << service.mux().size() << " tenant(s) from "
-                  << options.snapshot_path << "\n";
-      }
+    if (resume && std::filesystem::exists(options.snapshot_path)) {
+      service.restore(options.snapshot_path);
+      std::cerr << "mobsrv_serve: resumed " << service.mux().size() << " tenant(s) from "
+                << options.snapshot_path << "\n";
     }
 
     if (args.has("tcp") || args.has("unix")) {
