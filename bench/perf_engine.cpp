@@ -34,6 +34,12 @@
 ///                               with 512 touched between cuts: the cached
 ///                               cut (full:0) against the full render
 ///                               (full:1); `steps` counts tenant rows.
+///   * serve/save_boundary     — serve-persist's save boundary through
+///                               Service::run: 8192 open tenants with
+///                               --snapshot and --metrics-out, 512 of them
+///                               stepped per boundary, then the snapshot
+///                               delta and the metrics cut; `steps` counts
+///                               tenant rows written to the metrics file.
 ///   * engine/step_latency     — sim::Session with the RunOptions
 ///                               step_latency hook attached: per-push wall
 ///                               time from the histogram the engine fills.
@@ -65,11 +71,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "core/mobsrv.hpp"
@@ -396,7 +404,7 @@ void BM_MetricsRender(benchmark::State& state) {
     telemetry.journal().record(mobsrv::obs::EventType::kOpen, spec.tenant, "Lazy");
   }
   // The first cut renders every row; the row measures the steady state.
-  benchmark::DoNotOptimize(telemetry.metrics_cut(mux).size());
+  benchmark::DoNotOptimize(telemetry.metrics_cut(mux, mux.totals()).size());
   stats::Rng rng(0x3E7);
   std::size_t hot = 0;
   std::uint64_t rows = 0;
@@ -412,9 +420,12 @@ void BM_MetricsRender(benchmark::State& state) {
       for (std::size_t t = 0; t < kEpoch; ++t) row.ingest_latency.record(20'000 + 1'000 * t);
     }
     state.ResumeTiming();
-    const std::string cut =
-        full ? telemetry.snapshot_ndjson(mux, mux.snapshot()) : telemetry.metrics_cut(mux);
-    benchmark::DoNotOptimize(cut.data());
+    if (full) {
+      const std::string cut = telemetry.snapshot_ndjson(mux, mux.snapshot());
+      benchmark::DoNotOptimize(cut.data());
+    } else {
+      benchmark::DoNotOptimize(telemetry.metrics_cut(mux, mux.totals()).data());
+    }
     benchmark::ClobberMemory();
     rows += kTenants;
   }
@@ -422,6 +433,61 @@ void BM_MetricsRender(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(rows), benchmark::Counter::kIsRate);
   state.counters["tenants"] = static_cast<double>(kTenants);
   state.counters["touched"] = static_cast<double>(kTouched);
+}
+
+// serve-persist's save boundary, end to end through Service::run: 8192
+// open tenants, --snapshot and --metrics-out in a temp dir (non-durable:
+// fsync time belongs to the disk). Each iteration streams one step to each
+// of the next 512 tenants of a rotating window, then hits EOF, whose
+// graceful drain saves the snapshot (a delta, or a base when the chain
+// compacts) and writes the metrics cut. The per-second `steps` counter
+// counts tenant rows written to the metrics file.
+void BM_SaveBoundary(benchmark::State& state) {
+  constexpr std::size_t kTenants = 8192;
+  constexpr std::size_t kTouched = 512;
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("mobsrv_perf_save_boundary_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  mobsrv::serve::ServiceOptions options;
+  options.threads = 1;
+  options.durable = false;
+  options.snapshot_path = dir / "service.snap";
+  options.metrics_path = dir / "service.metrics";
+  std::vector<std::string> reqs;
+  std::string opens;
+  for (std::size_t s = 0; s < kTenants; ++s) {
+    const std::string name = "t" + std::to_string(s);
+    opens += R"({"type":"open","v":1,"tenant":")" + name +
+             R"(","algorithm":"Lazy","dim":1,"speed":1.5})" + "\n";
+    reqs.push_back(R"({"type":"req","tenant":")" + name + R"(","batch":[[)" +
+                   std::to_string(static_cast<double>(s % 17) - 8.0) + "]]}\n");
+  }
+  mobsrv::serve::Service service(options);
+  {
+    std::istringstream in(opens);
+    std::ostringstream out;
+    service.run(in, out);  // admits every tenant; EOF writes the first base
+  }
+  std::size_t hot = 0;
+  std::uint64_t rows = 0;
+  std::string script;
+  for (auto _ : state) {
+    state.PauseTiming();
+    script.clear();
+    for (std::size_t i = 0; i < kTouched; ++i, hot = (hot + 1) % kTenants) script += reqs[hot];
+    std::istringstream in(script);
+    std::ostringstream out;
+    state.ResumeTiming();
+    if (service.run(in, out) != mobsrv::serve::ExitReason::kEof) state.SkipWithError("bad exit");
+    benchmark::DoNotOptimize(out.tellp());
+    rows += kTenants;
+  }
+  state.counters["steps"] =
+      benchmark::Counter(static_cast<double>(rows), benchmark::Counter::kIsRate);
+  state.counters["tenants"] = static_cast<double>(kTenants);
+  state.counters["touched"] = static_cast<double>(kTouched);
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
 }
 
 // The PR 10 gate: the fault hooks on the serve hot path (serve.read per
@@ -779,6 +845,9 @@ int main(int argc, char** argv) {
         ->MinTime(min_time)
         ->UseRealTime();
   }
+  benchmark::RegisterBenchmark("serve/save_boundary", BM_SaveBoundary)
+      ->MinTime(min_time)
+      ->UseRealTime();
   for (const int armed : {0, 1}) {
     benchmark::RegisterBenchmark("serve/fault_hook_overhead", BM_FaultHookOverhead, sizes)
         ->Arg(armed)

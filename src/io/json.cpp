@@ -157,9 +157,7 @@ void append_double(std::string& out, double v) {
   out.append(buf, res.ptr);
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
+void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -196,8 +194,6 @@ void append_escaped(std::string& out, const std::string& s) {
   }
   out.push_back('"');
 }
-
-}  // namespace
 
 void Json::dump_to(std::string& out) const {
   switch (type()) {

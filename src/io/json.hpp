@@ -155,4 +155,9 @@ template <class Names>
 /// non-finite values.
 void append_double(std::string& out, double v);
 
+/// Appends \p s as a quoted JSON string, escaped exactly as Json::dump
+/// escapes it (quote, backslash and control bytes; UTF-8 bytes verbatim).
+/// For writers that stream JSON without building a DOM.
+void append_escaped(std::string& out, std::string_view s);
+
 }  // namespace mobsrv::io

@@ -1,5 +1,7 @@
 #include "serve/frames.hpp"
 
+#include <charconv>
+
 #include "common/contracts.hpp"
 
 namespace mobsrv::serve {
@@ -346,89 +348,153 @@ std::string error_frame(std::uint64_t line, const std::string& message,
   return doc.dump();
 }
 
-Json stats_to_json(const core::SessionStats& stats, const TenantObsRow* row) {
-  Json doc = Json::object();
-  doc.set("tenant", stats.tenant);
-  doc.set("algorithm", stats.algorithm);
-  doc.set("k", stats.fleet_size);
-  doc.set("steps", stats.steps);
-  doc.set("move", stats.move_cost);
-  doc.set("service", stats.service_cost);
-  doc.set("total", stats.total_cost);
-  doc.set("closed", stats.closed);
-  if (row != nullptr) {
-    // Telemetry members strictly append to the v1 row (byte-compat rule).
-    doc.set("queued", stats.horizon - stats.steps);
-    doc.set("reqs", row->reqs);
-    doc.set("outcomes", row->outcomes);
-    doc.set("busys", row->busys);
-    doc.set("errors", row->errors);
-    doc.set("inflight_hwm", row->inflight_hwm);
-    doc.set("throttled", stats.throttled_rounds);
-    doc.set("ingest_latency_ns", obs::summary_to_json(row->ingest_latency));
-  }
-  return doc;
-}
-
-std::string closed_frame(const core::SessionStats& stats) {
-  Json doc = Json::object();
-  doc.set("type", "closed");
-  Json body = stats_to_json(stats);
-  for (Json::Member& member : body.as_object())
-    doc.set(std::move(member.first), std::move(member.second));
-  return doc.dump();
-}
-
 namespace {
+
+/// Streams one JSON object's members straight into a string, with no DOM.
+/// Keys are ASCII literals and go out unescaped; values go through the
+/// number and string formatters Json::dump uses, so the bytes equal a DOM
+/// render member for member. The caller writes the braces.
+class Members {
+ public:
+  explicit Members(std::string& out) : out_(out) {}
+
+  /// Writes the key; the caller appends the value.
+  std::string& key(std::string_view name) {
+    if (!first_) out_ += ',';
+    first_ = false;
+    out_ += '"';
+    out_ += name;
+    out_ += "\":";
+    return out_;
+  }
+  Members& uint(std::string_view name, std::uint64_t value) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    key(name).append(buf, res.ptr);
+    return *this;
+  }
+  Members& real(std::string_view name, double value) {
+    io::append_double(key(name), value);
+    return *this;
+  }
+  Members& flag(std::string_view name, bool value) {
+    key(name) += value ? "true" : "false";
+    return *this;
+  }
+  Members& text(std::string_view name, std::string_view value) {
+    io::append_escaped(key(name), value);
+    return *this;
+  }
+  /// The obs::summary_to_json object.
+  Members& summary(std::string_view name, const obs::HistogramSummary& value) {
+    key(name) += '{';
+    Members(out_)
+        .uint("count", value.count)
+        .uint("sum", value.sum)
+        .uint("p50", value.p50)
+        .uint("p90", value.p90)
+        .uint("p99", value.p99)
+        .uint("max", value.max);
+    out_ += '}';
+    return *this;
+  }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
 
 /// Per-tenant rows for stats/metrics frames; \p rows (when given) is
 /// indexed by slot id, parallel to \p stats.
-Json tenant_rows(const std::vector<core::SessionStats>& stats,
-                 const std::vector<TenantObsRow>* rows) {
+void append_tenant_rows(std::string& out, const std::vector<core::SessionStats>& stats,
+                        const std::vector<TenantObsRow>* rows) {
   if (rows != nullptr)
     MOBSRV_CHECK_MSG(rows->size() == stats.size(),
                      "telemetry rows out of sync with mux snapshot");
-  Json tenants = Json::array();
-  for (std::size_t i = 0; i < stats.size(); ++i)
-    tenants.push_back(stats_to_json(stats[i], rows != nullptr ? &(*rows)[i] : nullptr));
-  return tenants;
+  out += '[';
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    out += i == 0 ? "{" : ",{";
+    append_tenant_members(out, stats[i], rows != nullptr ? &(*rows)[i] : nullptr);
+    out += '}';
+  }
+  out += ']';
 }
 
 }  // namespace
 
+void append_tenant_members(std::string& out, const core::SessionStats& stats,
+                           const TenantObsRow* row) {
+  Members members(out);
+  members.text("tenant", stats.tenant)
+      .text("algorithm", stats.algorithm)
+      .uint("k", stats.fleet_size)
+      .uint("steps", stats.steps)
+      .real("move", stats.move_cost)
+      .real("service", stats.service_cost)
+      .real("total", stats.total_cost)
+      .flag("closed", stats.closed);
+  if (row != nullptr) {
+    // Telemetry members strictly append to the v1 row (byte-compat rule).
+    members.uint("queued", stats.horizon - stats.steps)
+        .uint("reqs", row->reqs)
+        .uint("outcomes", row->outcomes)
+        .uint("busys", row->busys)
+        .uint("errors", row->errors)
+        .uint("inflight_hwm", row->inflight_hwm)
+        .uint("throttled", stats.throttled_rounds)
+        .summary("ingest_latency_ns", row->ingest_latency);
+  }
+}
+
+std::string closed_frame(const core::SessionStats& stats) {
+  std::string out = R"({"type":"closed",)";
+  append_tenant_members(out, stats);
+  out += '}';
+  return out;
+}
+
 std::string stats_frame(const std::vector<core::SessionStats>& stats,
                         const core::MuxTotals& totals, const std::vector<TenantObsRow>* rows,
                         bool degraded) {
-  Json doc = Json::object();
-  doc.set("type", "stats");
-  doc.set("tenants", tenant_rows(stats, rows));
-  doc.set("sessions", totals.sessions);
-  doc.set("live", totals.live);
-  doc.set("steps", totals.steps);
-  doc.set("move", totals.move_cost);
-  doc.set("service", totals.service_cost);
-  doc.set("total", totals.total_cost);
+  std::string out = "{";
+  Members members(out);
+  members.text("type", "stats");
+  append_tenant_rows(members.key("tenants"), stats, rows);
+  members.uint("sessions", totals.sessions)
+      .uint("live", totals.live)
+      .uint("steps", totals.steps)
+      .real("move", totals.move_cost)
+      .real("service", totals.service_cost)
+      .real("total", totals.total_cost);
   if (rows != nullptr) {
     // Aggregate telemetry, appended after the v1 members (byte-compat).
-    doc.set("active_sessions", totals.active);
-    doc.set("throttled", totals.throttled);
-    doc.set("queue_depth", totals.queue_depth);
-    doc.set("step_latency_ns", obs::summary_to_json(totals.step_latency));
-    doc.set("steps_per_session", obs::summary_to_json(totals.steps_per_session));
-    doc.set("degraded", degraded);
+    members.uint("active_sessions", totals.active)
+        .uint("throttled", totals.throttled)
+        .uint("queue_depth", totals.queue_depth)
+        .summary("step_latency_ns", totals.step_latency)
+        .summary("steps_per_session", totals.steps_per_session)
+        .flag("degraded", degraded);
   }
-  return doc.dump();
+  out += '}';
+  return out;
 }
 
 std::string metrics_frame(const io::Json::Array& metrics,
                           const std::vector<core::SessionStats>& stats,
                           const std::vector<TenantObsRow>& rows) {
-  Json doc = Json::object();
-  doc.set("type", "metrics");
-  doc.set("v", kProtocolVersion);
-  doc.set("metrics", Json(metrics));
-  doc.set("tenants", tenant_rows(stats, &rows));
-  return doc.dump();
+  std::string out = "{";
+  Members members(out);
+  members.text("type", "metrics").uint("v", kProtocolVersion);
+  std::string& list = members.key("metrics");
+  list += '[';
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    if (i != 0) list += ',';
+    metrics[i].dump_to(list);
+  }
+  list += ']';
+  append_tenant_rows(members.key("tenants"), stats, &rows);
+  out += '}';
+  return out;
 }
 
 std::string checkpointed_frame(const std::string& path, std::size_t sessions, std::size_t steps,

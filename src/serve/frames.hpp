@@ -187,11 +187,14 @@ struct TenantObsRow {
 /// Farewell frame emitted on graceful exit (shutdown frame, EOF, SIGTERM).
 [[nodiscard]] std::string bye_frame(const std::string& reason, const core::MuxTotals& totals);
 
-/// Per-tenant accounting object shared by stats/closed frames. With a
-/// non-null \p row the serve-side telemetry members (queued, reqs,
-/// outcomes, busys, errors, inflight_hwm, throttled, ingest_latency_ns)
-/// are appended.
-[[nodiscard]] io::Json stats_to_json(const core::SessionStats& stats,
-                                     const TenantObsRow* row = nullptr);
+/// Appends the per-tenant accounting members shared by the `closed` frame,
+/// the `stats`/`metrics` tenant rows and the --metrics-out tenant line —
+/// `"tenant":...` through `"closed":...`, without the enclosing braces —
+/// straight into \p out, with no DOM. With a non-null \p row the
+/// serve-side telemetry members (queued, reqs, outcomes, busys, errors,
+/// inflight_hwm, throttled, ingest_latency_ns) are appended. The one
+/// tenant-row renderer: every surface above produces its rows here.
+void append_tenant_members(std::string& out, const core::SessionStats& stats,
+                           const TenantObsRow* row = nullptr);
 
 }  // namespace mobsrv::serve

@@ -229,7 +229,7 @@ void Service::handle_close(const std::string& name, std::ostream& out) {
   telemetry_.tenants_open.add(-1);
   telemetry_.journal().record(obs::EventType::kClose, name);
   out << closed_frame(mux_.stats(slot)) << '\n';
-  table_.erase(name);
+  erase_tenant(name, slot);
 }
 
 void Service::handle_stats(const std::string& name, std::ostream& out) {
@@ -253,9 +253,10 @@ void Service::handle_metrics(std::ostream& out) {
   // Quiesce first: with every accepted step consumed, the frame's counters
   // satisfy reqs == outcomes + busys (barring error-closed tenants).
   pump(out);
-  out << metrics_frame(telemetry_.collect(mux_), mux_.snapshot(), telemetry_.rows(mux_.size()))
+  const core::MuxTotals totals = mux_.totals();
+  out << metrics_frame(telemetry_.collect(totals), mux_.snapshot(), telemetry_.rows(mux_.size()))
       << '\n';
-  write_metrics(out, /*force=*/true);
+  write_metrics(out, totals);
 }
 
 void Service::handle_checkpoint(std::ostream& out) {
@@ -267,7 +268,7 @@ void Service::handle_checkpoint(std::ostream& out) {
     return;
   }
   pump(out);  // snapshots are taken at quiescent points only
-  maybe_snapshot(out, /*force=*/true);
+  save_snapshot(out, mux_.totals());
 }
 
 void Service::fail_tenant(const std::string& name, const std::string& message,
@@ -284,7 +285,14 @@ void Service::fail_tenant(const std::string& name, const std::string& message,
   note_tenant_error(slot, name, message);
   out << error_frame(lines_, message, name, true) << '\n';
   out << closed_frame(mux_.stats(slot)) << '\n';
+  erase_tenant(name, slot);
+}
+
+void Service::erase_tenant(const std::string& name, std::size_t slot) {
   table_.erase(name);
+  // Slots past the watermark were opened after the last save: a delta
+  // never mentions them once they are gone again.
+  if (slot < saved_watermark_) closed_since_save_.push_back(slot);
 }
 
 void Service::note_tenant_error(std::size_t slot, const std::string& name,
@@ -375,13 +383,21 @@ void Service::pump(std::ostream& out) {
         note_tenant_error(error.id, name, error.message);
         out << error_frame(lines_, error.message, name, true) << '\n';
         out << closed_frame(mux_.stats(error.id)) << '\n';
-        table_.erase(name);
+        erase_tenant(name, error.id);
       }
     }
   }
   reap_idle(out);
-  maybe_snapshot(out, /*force=*/false);
-  write_metrics(out, /*force=*/false);
+  const bool save_due = !options_.snapshot_path.empty() && options_.checkpoint_every != 0 &&
+                        steps_since_snapshot_ >= options_.checkpoint_every;
+  const bool cut_due = !options_.metrics_path.empty() && options_.metrics_every != 0 &&
+                       steps_since_metrics_ >= options_.metrics_every;
+  if (!save_due && !cut_due) return;
+  // One totals() scan serves the checkpointed frame and the cut's head:
+  // saving changes nothing it reports.
+  const core::MuxTotals totals = mux_.totals();
+  if (save_due) save_snapshot(out, totals);
+  if (cut_due) write_metrics(out, totals);
 }
 
 void Service::reap_idle(std::ostream& out) {
@@ -410,15 +426,12 @@ void Service::reap_idle(std::ostream& out) {
     telemetry_.journal().record(obs::EventType::kTimeout, name, message);
     out << error_frame(lines_, message, name, true) << '\n';
     out << closed_frame(mux_.stats(slot)) << '\n';
-    table_.erase(name);
+    erase_tenant(name, slot);
   }
 }
 
-void Service::maybe_snapshot(std::ostream& out, bool force) {
+void Service::save_snapshot(std::ostream& out, const core::MuxTotals& totals) {
   if (options_.snapshot_path.empty()) return;
-  if (!force &&
-      (options_.checkpoint_every == 0 || steps_since_snapshot_ < options_.checkpoint_every))
-    return;
   SnapshotWriteOptions write_options;
   write_options.durable = options_.durable;
   write_options.faults = options_.faults;
@@ -455,16 +468,16 @@ void Service::maybe_snapshot(std::ostream& out, bool force) {
         ++segments_;
       }
       mux_.mark_saved();
-      saved_slots_.clear();
-      for (const auto& tenant : table_.entries()) saved_slots_.insert(tenant->slot);
+      saved_watermark_ = mux_.size();
+      closed_since_save_.clear();
       steps_since_snapshot_ = 0;
       telemetry_.snapshots.inc();
       telemetry_.checkpoint_bytes.inc(bytes);
       telemetry_.journal().record(obs::EventType::kCheckpoint, {},
                                   options_.snapshot_path.string());
       clear_degraded();
-      out << checkpointed_frame(options_.snapshot_path.string(), table_.size(),
-                                mux_.totals().steps, base ? "base" : "delta", bytes, segments_)
+      out << checkpointed_frame(options_.snapshot_path.string(), table_.size(), totals.steps,
+                                base ? "base" : "delta", bytes, segments_)
           << '\n';
       return;
     } catch (const std::exception& error) {
@@ -493,16 +506,14 @@ SnapshotSegment Service::collect_base_segment() const {
 
 SnapshotSegment Service::collect_delta_segment() const {
   SnapshotSegment segment;
-  for (const auto& tenant : table_.entries()) {
-    if (saved_slots_.count(tenant->slot) != 0) continue;
+  // Slots are dense, never reused and admitted in slot order, so the
+  // tenants opened since the save are exactly the table's tail from the
+  // watermark on.
+  for (const auto& tenant : table_.from_slot(saved_watermark_)) {
     segment.opened.push_back(tenant->spec);
     segment.opened_slots.push_back(tenant->slot);
   }
-  std::unordered_set<std::size_t> current;
-  current.reserve(table_.size());
-  for (const auto& tenant : table_.entries()) current.insert(tenant->slot);
-  for (const std::size_t slot : saved_slots_)
-    if (current.count(slot) == 0) segment.closed_slots.push_back(slot);
+  segment.closed_slots.assign(closed_since_save_.begin(), closed_since_save_.end());
   std::sort(segment.closed_slots.begin(), segment.closed_slots.end());
   // Only the slots that stepped (or arrived) since mark_saved() are
   // re-serialised — the O(progress) heart of the incremental save.
@@ -515,22 +526,20 @@ SnapshotSegment Service::collect_delta_segment() const {
 
 ExitReason Service::finish(ExitReason reason, std::ostream& out) {
   pump(out);
-  maybe_snapshot(out, /*force=*/true);
+  const core::MuxTotals totals = mux_.totals();
+  save_snapshot(out, totals);
   const char* why = reason == ExitReason::kEof        ? "eof"
                     : reason == ExitReason::kShutdown ? "shutdown"
                                                       : "signal";
   telemetry_.journal().record(obs::EventType::kDrain, {}, why);
-  write_metrics(out, /*force=*/true);
-  out << bye_frame(why, mux_.totals()) << '\n';
+  write_metrics(out, totals);
+  out << bye_frame(why, totals) << '\n';
   out.flush();
   return reason;
 }
 
-void Service::write_metrics(std::ostream& out, bool force) {
+void Service::write_metrics(std::ostream& out, const core::MuxTotals& totals) {
   if (options_.metrics_path.empty()) return;
-  if (!force &&
-      (options_.metrics_every == 0 || steps_since_metrics_ < options_.metrics_every))
-    return;
   trace::AtomicWriteOptions write_options;
   write_options.durable = options_.durable;
   write_options.faults = options_.faults;
@@ -539,7 +548,7 @@ void Service::write_metrics(std::ostream& out, bool force) {
   for (std::size_t attempt = 0; attempt <= options_.retry_limit; ++attempt) {
     if (attempt != 0) retry_backoff("metrics snapshot", attempt, last_error);
     try {
-      trace::write_bytes_atomic(options_.metrics_path, telemetry_.metrics_cut(mux_),
+      trace::write_bytes_atomic(options_.metrics_path, telemetry_.metrics_cut(mux_, totals),
                                 write_options);
       steps_since_metrics_ = 0;
       clear_degraded();

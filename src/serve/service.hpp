@@ -35,7 +35,6 @@
 #include <filesystem>
 #include <iosfwd>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/session_multiplexer.hpp"
@@ -123,6 +122,7 @@ class Service {
 
   /// Accounting access for tests and the soak bench.
   [[nodiscard]] const core::SessionMultiplexer& mux() const noexcept { return mux_; }
+  [[nodiscard]] const TenantTable& table() const noexcept { return table_; }
   [[nodiscard]] std::uint64_t lines_seen() const noexcept { return lines_; }
   /// The telemetry surface (metrics registry, journal, per-tenant rows)
   /// for tests and the serve/ingest_p99 perf row.
@@ -148,20 +148,22 @@ class Service {
   /// handle_req), never the whole table.
   void pump(std::ostream& out);
 
-  /// Saves a snapshot if due (cadence) or \p force. The first save of a
+  /// Saves a snapshot (no-op without a snapshot path). The first save of a
   /// process writes a fresh MSRVSS2 base; later saves append a delta
   /// carrying only the tenants opened/closed and the slots stepped since
   /// the previous save (O(progress)), compacting back into a base when
   /// the chain outgrows compact_ratio. Reports save failures as error
-  /// frames without killing the service.
-  void maybe_snapshot(std::ostream& out, bool force);
+  /// frames without killing the service. \p totals is mux_.totals() at
+  /// this quiescent point (the checkpointed frame's step count).
+  void save_snapshot(std::ostream& out, const core::MuxTotals& totals);
   [[nodiscard]] SnapshotSegment collect_base_segment() const;
   [[nodiscard]] SnapshotSegment collect_delta_segment() const;
 
-  /// Writes the --metrics-out NDJSON snapshot if due (cadence) or \p
-  /// force. Atomic (tmp + rename); failures retry with backoff, then go
-  /// degraded — loud error frames + journal, never fatal.
-  void write_metrics(std::ostream& out, bool force);
+  /// Writes the --metrics-out NDJSON snapshot (no-op without a metrics
+  /// path); \p totals is mux_.totals() at this quiescent point. Atomic
+  /// (tmp + rename); failures retry with backoff, then go degraded — loud
+  /// error frames + journal, never fatal.
+  void write_metrics(std::ostream& out, const core::MuxTotals& totals);
 
   /// Closes tenants past the --idle-timeout deadline (see
   /// ServiceOptions::idle_timeout). Runs at the pump's quiescent point.
@@ -178,6 +180,10 @@ class Service {
   /// Re-arms after a successful persistence write: gauge back to 0 plus a
   /// kDegraded "recovered" journal entry.
   void clear_degraded();
+
+  /// Drops a closed tenant from the table and, if the last save saw it,
+  /// books its slot for the next delta's `closed` list.
+  void erase_tenant(const std::string& name, std::size_t slot);
 
   /// Books a tenant's error-close in the telemetry (error counters,
   /// journal, open-tenant gauge).
@@ -212,9 +218,13 @@ class Service {
   std::uint64_t base_bytes_ = 0;   ///< encoded size of the current base segment
   std::uint64_t delta_bytes_ = 0;  ///< summed encoded size of appended deltas
   std::size_t segments_ = 0;       ///< chain length (base + deltas)
-  /// Slots open as of the last successful save (the delta's open/close
-  /// diff base).
-  std::unordered_set<std::size_t> saved_slots_;
+  /// mux_.size() at the last successful save. Slots are dense, never
+  /// reused and admitted in order, so the open tenants at or past it are
+  /// the ones opened since (the delta's `opened` list).
+  std::size_t saved_watermark_ = 0;
+  /// Slots below the watermark erased from the table since the last
+  /// successful save (the delta's `closed` list, unsorted).
+  std::vector<std::size_t> closed_since_save_;
 };
 
 }  // namespace mobsrv::serve

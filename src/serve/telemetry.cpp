@@ -63,11 +63,13 @@ void append_line(std::string& out, const char* kind, Json body) {
   out += '\n';
 }
 
-/// The one tenant-row renderer: the full render and the cached cut both
-/// produce every {"kind":"tenant"} line here.
+/// The full render and the cached cut both produce every {"kind":"tenant"}
+/// line here, through the frames' one tenant-row writer.
 void append_tenant(std::string& out, const core::SessionStats& stats, const TenantTelemetry& row) {
   const TenantObsRow obs_row = row.row();
-  append_line(out, "tenant", stats_to_json(stats, &obs_row));
+  out += R"({"kind":"tenant",)";
+  append_tenant_members(out, stats, &obs_row);
+  out += "}\n";
 }
 
 void append_event(std::string& out, const obs::Event& event) {
@@ -168,10 +170,6 @@ std::vector<TenantObsRow> ServeTelemetry::rows(std::size_t count) const {
   return out;
 }
 
-io::Json::Array ServeTelemetry::collect(const core::SessionMultiplexer& mux) const {
-  return collect(mux.totals());
-}
-
 io::Json::Array ServeTelemetry::collect(const core::MuxTotals& totals) const {
   io::Json::Array metrics = registry_.to_json();
 
@@ -228,10 +226,12 @@ std::string ServeTelemetry::snapshot_ndjson(const core::SessionMultiplexer& mux,
   return out;
 }
 
-std::string ServeTelemetry::metrics_cut(const core::SessionMultiplexer& mux) {
-  std::string out;
-  out.reserve(cut_bytes_);
-  append_head(out, mux.totals());
+const std::string& ServeTelemetry::metrics_cut(const core::SessionMultiplexer& mux,
+                                               const core::MuxTotals& totals) {
+  // Reused across cuts: clear() keeps the previous cut's capacity.
+  std::string& out = cut_;
+  out.clear();
+  append_head(out, totals);
   if (rows_.size() < mux.size()) rows_.resize(mux.size());
   for (std::size_t slot = 0; slot < mux.size(); ++slot) {
     TenantTelemetry& row = rows_[slot];
@@ -252,7 +252,6 @@ std::string ServeTelemetry::metrics_cut(const core::SessionMultiplexer& mux) {
     }
     out += cached.text;
   }
-  cut_bytes_ = out.size();
   return out;
 }
 

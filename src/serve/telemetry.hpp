@@ -89,9 +89,8 @@ class ServeTelemetry {
     std::string text;
   };
   std::vector<EventLine> event_lines_;
-  std::size_t cut_bytes_ = 0;  ///< size of the previous cut (reserve hint)
+  std::string cut_;  ///< the latest metrics_cut(), its buffer reused across cuts
 
-  [[nodiscard]] io::Json::Array collect(const core::MuxTotals& totals) const;
   /// The meta line and the metric lines of a cut.
   void append_head(std::string& out, const core::MuxTotals& totals) const;
 
@@ -147,8 +146,9 @@ class ServeTelemetry {
   /// Full metrics dump: every registry entry's current value plus the
   /// mux/journal-owned metrics (mux.queue_depth, mux.step_latency_ns,
   /// mux.steps_per_session, obs.journal_dropped_total,
-  /// mux.active_sessions, mux.throttled_total).
-  [[nodiscard]] io::Json::Array collect(const core::SessionMultiplexer& mux) const;
+  /// mux.active_sessions, mux.throttled_total). \p totals is the mux's
+  /// totals(), taken by the caller so it can share the one scan.
+  [[nodiscard]] io::Json::Array collect(const core::MuxTotals& totals) const;
 
   /// The --metrics-out NDJSON snapshot: one {"kind":"meta"} header line,
   /// then {"kind":"metric"} / {"kind":"tenant"} / {"kind":"event"} lines
@@ -159,9 +159,12 @@ class ServeTelemetry {
 
   /// The same bytes as snapshot_ndjson(mux, mux.snapshot()), in
   /// O(rows dirtied since the previous cut + journal): clean tenant rows
-  /// and already-rendered events are copied from the cache. Only the
-  /// mux.totals() scan stays O(population).
-  [[nodiscard]] std::string metrics_cut(const core::SessionMultiplexer& mux);
+  /// and already-rendered events are copied from the cache. \p totals is
+  /// mux.totals(), taken by the caller (the one O(population) scan, shared
+  /// with the snapshot save). The result lives in a buffer this object
+  /// reuses: it stays valid until the next cut.
+  [[nodiscard]] const std::string& metrics_cut(const core::SessionMultiplexer& mux,
+                                               const core::MuxTotals& totals);
 };
 
 }  // namespace mobsrv::serve

@@ -72,13 +72,18 @@ Tenant* TenantTable::find_slot(std::size_t slot) {
 void TenantTable::erase(const std::string& name) {
   const auto it = by_name_.find(name);
   if (it == by_name_.end()) return;
-  by_slot_.erase(it->second->slot);
+  const std::size_t slot = it->second->slot;
+  by_slot_.erase(slot);
   by_name_.erase(it);
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [&](const std::unique_ptr<Tenant>& tenant) {
-                                  return tenant->spec.tenant == name;
-                                }),
-                 entries_.end());
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(first_at_or_after(slot)));
+}
+
+std::size_t TenantTable::first_at_or_after(std::size_t slot) const {
+  // entries_ is in slot order: install appends ever-growing slot ids.
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), slot,
+      [](const std::unique_ptr<Tenant>& tenant, std::size_t id) { return tenant->slot < id; });
+  return static_cast<std::size_t>(it - entries_.begin());
 }
 
 }  // namespace mobsrv::serve

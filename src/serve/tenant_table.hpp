@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -76,17 +77,27 @@ class TenantTable {
   [[nodiscard]] Tenant* find_slot(std::size_t slot);
 
   /// Removes a tenant from the table (the caller is responsible for the
-  /// mux-side close/drain). No-op if absent.
+  /// mux-side close/drain). No-op if absent. O(log n) to locate the entry
+  /// by slot, plus the vector shift.
   void erase(const std::string& name);
 
-  /// Open tenants in slot order.
+  /// Open tenants in slot order (slots are admitted in increasing order).
   [[nodiscard]] const std::vector<std::unique_ptr<Tenant>>& entries() const noexcept {
     return entries_;
+  }
+
+  /// The open tenants whose slot is \p slot or later: a suffix of
+  /// entries(), found by binary search.
+  [[nodiscard]] std::span<const std::unique_ptr<Tenant>> from_slot(std::size_t slot) const {
+    return std::span(entries_).subspan(first_at_or_after(slot));
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  /// Index of the first entry whose slot is >= \p slot.
+  [[nodiscard]] std::size_t first_at_or_after(std::size_t slot) const;
+
   Tenant& install(TenantSpec spec, std::shared_ptr<sim::Instance> workload,
                   core::SessionMultiplexer& mux);
 

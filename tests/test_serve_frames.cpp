@@ -1,11 +1,21 @@
 // Tests for the mobsrv_serve wire protocol (serve/frames.hpp): client-frame
 // parsing with loud rejection of unknown members/types/versions, tenant
 // attribution for error isolation, TenantSpec JSON round-trips, and the
-// server frame builders' exact shapes.
+// server frame builders' exact shapes — including a differential test of
+// the DOM-free tenant-row writer against a DOM oracle.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <sstream>
+
 #include "io/json.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/frames.hpp"
+#include "serve/telemetry.hpp"
+#include "stats/rng.hpp"
 
 namespace mobsrv {
 namespace {
@@ -325,6 +335,257 @@ TEST(ServeFrames, ServerFramesAreOneJsonObjectWithAType) {
   const io::Json anon = io::Json::parse(serve::error_frame(0, "boom", "", false));
   EXPECT_EQ(anon.find("tenant"), nullptr);
   EXPECT_EQ(anon.find("line"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// The tenant-row writer against a DOM oracle. The oracle is the io::Json
+// renderer the frames used before the writer existed, kept here verbatim:
+// every surface that carries tenant rows (the `closed`, `stats` and
+// `metrics` frames and the --metrics-out tenant line) must stay byte-equal
+// to it over seeded rows with hostile names and awkward doubles.
+// ---------------------------------------------------------------------------
+
+io::Json dom_stats_to_json(const core::SessionStats& stats, const serve::TenantObsRow* row) {
+  io::Json doc = io::Json::object();
+  doc.set("tenant", stats.tenant);
+  doc.set("algorithm", stats.algorithm);
+  doc.set("k", stats.fleet_size);
+  doc.set("steps", stats.steps);
+  doc.set("move", stats.move_cost);
+  doc.set("service", stats.service_cost);
+  doc.set("total", stats.total_cost);
+  doc.set("closed", stats.closed);
+  if (row != nullptr) {
+    doc.set("queued", stats.horizon - stats.steps);
+    doc.set("reqs", row->reqs);
+    doc.set("outcomes", row->outcomes);
+    doc.set("busys", row->busys);
+    doc.set("errors", row->errors);
+    doc.set("inflight_hwm", row->inflight_hwm);
+    doc.set("throttled", stats.throttled_rounds);
+    doc.set("ingest_latency_ns", obs::summary_to_json(row->ingest_latency));
+  }
+  return doc;
+}
+
+/// {<lead members>, <stats_to_json members>} — how the DOM frames spliced a row.
+io::Json dom_spliced(io::Json doc, const core::SessionStats& stats,
+                     const serve::TenantObsRow* row) {
+  io::Json body = dom_stats_to_json(stats, row);
+  for (io::Json::Member& member : body.as_object())
+    doc.set(std::move(member.first), std::move(member.second));
+  return doc;
+}
+
+std::string dom_closed_frame(const core::SessionStats& stats) {
+  io::Json doc = io::Json::object();
+  doc.set("type", "closed");
+  return dom_spliced(std::move(doc), stats, nullptr).dump();
+}
+
+io::Json dom_tenant_rows(const std::vector<core::SessionStats>& stats,
+                         const std::vector<serve::TenantObsRow>* rows) {
+  io::Json tenants = io::Json::array();
+  for (std::size_t i = 0; i < stats.size(); ++i)
+    tenants.push_back(dom_stats_to_json(stats[i], rows != nullptr ? &(*rows)[i] : nullptr));
+  return tenants;
+}
+
+std::string dom_stats_frame(const std::vector<core::SessionStats>& stats,
+                            const core::MuxTotals& totals,
+                            const std::vector<serve::TenantObsRow>* rows, bool degraded) {
+  io::Json doc = io::Json::object();
+  doc.set("type", "stats");
+  doc.set("tenants", dom_tenant_rows(stats, rows));
+  doc.set("sessions", totals.sessions);
+  doc.set("live", totals.live);
+  doc.set("steps", totals.steps);
+  doc.set("move", totals.move_cost);
+  doc.set("service", totals.service_cost);
+  doc.set("total", totals.total_cost);
+  if (rows != nullptr) {
+    doc.set("active_sessions", totals.active);
+    doc.set("throttled", totals.throttled);
+    doc.set("queue_depth", totals.queue_depth);
+    doc.set("step_latency_ns", obs::summary_to_json(totals.step_latency));
+    doc.set("steps_per_session", obs::summary_to_json(totals.steps_per_session));
+    doc.set("degraded", degraded);
+  }
+  return doc.dump();
+}
+
+std::string dom_metrics_frame(const io::Json::Array& metrics,
+                              const std::vector<core::SessionStats>& stats,
+                              const std::vector<serve::TenantObsRow>& rows) {
+  io::Json doc = io::Json::object();
+  doc.set("type", "metrics");
+  doc.set("v", serve::kProtocolVersion);
+  doc.set("metrics", io::Json(metrics));
+  doc.set("tenants", dom_tenant_rows(stats, &rows));
+  return doc.dump();
+}
+
+std::string dom_tenant_line(const core::SessionStats& stats, const serve::TenantObsRow& row) {
+  io::Json doc = io::Json::object();
+  doc.set("kind", "tenant");
+  return dom_spliced(std::move(doc), stats, &row).dump();
+}
+
+/// Names built from JSON's awkward bytes: quotes, backslashes, every kind
+/// of control byte (NUL included), DEL, and multi-byte UTF-8.
+std::string hostile_name(stats::Rng& rng) {
+  static const std::vector<std::string> kPieces = {
+      "\"", "\\", "\n", "\r", "\t", "\b", "\f", std::string(1, '\0'), "\x01", "\x1f",
+      "\x7f", "\xc3\xa9", "\xe6\x97\xa5\xe6\x9c\xac", "\xf0\x9f\x9a\x80", "/", "t", "42", " "};
+  std::string name;
+  const std::int64_t pieces = rng.uniform_int(0, 10);
+  for (std::int64_t i = 0; i < pieces; ++i)
+    name += kPieces[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kPieces.size()) - 1))];
+  return name;
+}
+
+double awkward_double(stats::Rng& rng) {
+  switch (rng.uniform_int(0, 8)) {
+    case 0:
+      return -0.0;
+    case 1:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(rng.uniform_int(1, 1 << 20));  // subnormal
+    case 2:
+      return 1e300;
+    case 3:
+      return static_cast<double>(rng.uniform_int(0, 1 << 30));  // integral
+    case 4:
+      return std::numeric_limits<double>::max();
+    case 5: {
+      const double bits = std::bit_cast<double>(rng());  // any finite pattern
+      return std::isfinite(bits) ? bits : 0.0;
+    }
+    case 6:
+      return 0.1 * static_cast<double>(rng.uniform_int(-1000, 1000));
+    default:
+      return rng.uniform(0.0, 1e4);
+  }
+}
+
+/// Small counts mostly, occasionally the full 64-bit range.
+std::uint64_t awkward_count(stats::Rng& rng) {
+  return rng() >> rng.uniform_int(0, 63);
+}
+
+core::SessionStats random_stats(stats::Rng& rng) {
+  core::SessionStats stats;
+  stats.tenant = hostile_name(rng);
+  stats.algorithm = rng.coin() ? "MtC" : hostile_name(rng);
+  stats.fleet_size = static_cast<std::size_t>(rng.uniform_int(1, 16));
+  stats.steps = awkward_count(rng) >> 1;
+  stats.horizon = stats.steps + (awkward_count(rng) >> 1);
+  stats.closed = rng.coin();
+  stats.move_cost = awkward_double(rng);
+  stats.service_cost = awkward_double(rng);
+  stats.total_cost = awkward_double(rng);
+  stats.throttled_rounds = awkward_count(rng);
+  return stats;
+}
+
+obs::HistogramSummary random_summary(stats::Rng& rng) {
+  obs::HistogramSummary summary;
+  if (rng.coin()) return summary;  // an empty histogram
+  summary.count = awkward_count(rng);
+  summary.sum = awkward_count(rng);
+  summary.p50 = awkward_count(rng);
+  summary.p90 = awkward_count(rng);
+  summary.p99 = awkward_count(rng);
+  summary.max = awkward_count(rng);
+  return summary;
+}
+
+serve::TenantObsRow random_obs_row(stats::Rng& rng) {
+  serve::TenantObsRow row;
+  row.reqs = awkward_count(rng);
+  row.outcomes = awkward_count(rng);
+  row.busys = awkward_count(rng);
+  row.errors = awkward_count(rng);
+  row.inflight_hwm = awkward_count(rng);
+  row.ingest_latency = random_summary(rng);
+  return row;
+}
+
+TEST(ServeFrames, TenantRowWriterMatchesTheDomOracleOnEveryFrame) {
+  stats::Rng rng(0xD0E);
+  obs::Registry registry;
+  registry.counter("serve.reqs_total", "frames", "reqs").inc(7);
+  registry.histogram("serve.ingest_latency_ns", "ns", "latency").record(1234);
+  const io::Json::Array metrics = registry.to_json();
+
+  for (std::size_t rows_checked = 0; rows_checked < 10'000;) {
+    std::vector<core::SessionStats> stats(static_cast<std::size_t>(rng.uniform_int(0, 7)));
+    std::vector<serve::TenantObsRow> rows;
+    for (core::SessionStats& row_stats : stats) {
+      row_stats = random_stats(rng);
+      rows.push_back(random_obs_row(rng));
+      const std::string closed = serve::closed_frame(row_stats);
+      ASSERT_EQ(closed, dom_closed_frame(row_stats));
+      // The parser (separate code from both writers) reads the name back.
+      ASSERT_EQ(io::Json::parse(closed).at("tenant").as_string(), row_stats.tenant);
+    }
+    rows_checked += stats.size();
+    core::MuxTotals totals;
+    totals.sessions = awkward_count(rng);
+    totals.live = awkward_count(rng);
+    totals.active = awkward_count(rng);
+    totals.steps = awkward_count(rng);
+    totals.move_cost = awkward_double(rng);
+    totals.service_cost = awkward_double(rng);
+    totals.total_cost = awkward_double(rng);
+    totals.throttled = awkward_count(rng);
+    totals.queue_depth = awkward_count(rng);
+    totals.step_latency = random_summary(rng);
+    totals.steps_per_session = random_summary(rng);
+    const bool degraded = rng.coin();
+    ASSERT_EQ(serve::stats_frame(stats, totals), dom_stats_frame(stats, totals, nullptr, false));
+    ASSERT_EQ(serve::stats_frame(stats, totals, &rows, degraded),
+              dom_stats_frame(stats, totals, &rows, degraded));
+    ASSERT_EQ(serve::metrics_frame(metrics, stats, rows), dom_metrics_frame(metrics, stats, rows));
+  }
+}
+
+// The --metrics-out tenant line, through the production full render
+// (snapshot_ndjson takes the per-slot stats as given, so seeded rows reach
+// it unchanged); the telemetry rows carry real histograms, empty or full.
+TEST(ServeFrames, MetricsOutTenantLinesMatchTheDomOracle) {
+  stats::Rng rng(0x7E1);
+  par::ThreadPool pool(1);
+  const core::SessionMultiplexer mux(pool);
+  std::size_t lines_checked = 0;
+  for (int chunk = 0; chunk < 10; ++chunk) {
+    serve::ServeTelemetry telemetry(/*lean=*/false);
+    std::vector<core::SessionStats> stats(1000);
+    for (std::size_t slot = 0; slot < stats.size(); ++slot) {
+      stats[slot] = random_stats(rng);
+      serve::TenantTelemetry& row = telemetry.tenant_row(slot, stats[slot].tenant);
+      row.reqs = awkward_count(rng);
+      row.outcomes = awkward_count(rng);
+      row.busys = awkward_count(rng);
+      row.errors = awkward_count(rng);
+      row.inflight_hwm = awkward_count(rng);
+      const std::int64_t samples = rng.coin() ? 0 : rng.uniform_int(1, 200);
+      for (std::int64_t i = 0; i < samples; ++i) row.ingest_latency.record(awkward_count(rng));
+    }
+    std::istringstream render(telemetry.snapshot_ndjson(mux, stats));
+    std::string line;
+    std::size_t slot = 0;
+    while (std::getline(render, line)) {
+      if (line.rfind(R"({"kind":"tenant")", 0) != 0) continue;
+      ASSERT_LT(slot, stats.size());
+      ASSERT_EQ(line, dom_tenant_line(stats[slot], telemetry.row(slot)->row())) << "slot " << slot;
+      ++slot;
+    }
+    ASSERT_EQ(slot, stats.size());
+    lines_checked += slot;
+  }
+  EXPECT_GE(lines_checked, 10'000u);
 }
 
 }  // namespace

@@ -490,6 +490,172 @@ TEST_F(ServeServiceTest, ChurnedTenantTableRestoresConsistently) {
   EXPECT_EQ(got.positions, want.positions);
 }
 
+// The open tenants in slot order and the engine state they own: what a
+// restore from the chain must reproduce.
+void expect_chain_matches_live(const Service& service, const fs::path& snapshot,
+                               const std::string& where) {
+  const serve::ServiceSnapshot saved = serve::read_snapshot(snapshot);
+  const auto& live = service.table().entries();
+  ASSERT_EQ(saved.tenants.size(), live.size()) << where;
+  for (std::size_t i = 0; i < live.size(); ++i)
+    ASSERT_EQ(serve::tenant_spec_to_json(saved.tenants[i]).dump(),
+              serve::tenant_spec_to_json(live[i]->spec).dump())
+        << where << ", entry " << i;
+  ASSERT_EQ(trace::encode_checkpoint(saved.records),
+            trace::encode_checkpoint(service.mux().checkpoint()))
+      << where;
+}
+
+// Every save of a churning service writes a chain that reads back as the
+// live table. Each round is one run() ending in a graceful save, after
+// which the chain must match. The mix covers tenants opened and closed
+// between two saves, saved tenants closed later (by close frames, a
+// dim-mismatch error and the idle reaper), closed names reopened under new
+// slots, a delta append failed by the fault plan (its retry writes a base),
+// compactions, and a restore mid-run.
+TEST_F(ServeServiceTest, SnapshotChainMatchesTheLiveTableThroughChurn) {
+  fault::Injector injector(3);
+  fault::SiteRule rule;
+  rule.site = fault::kSiteSnapshotDeltaAppend;
+  rule.nth = 12;
+  injector.add_rule(rule);
+  ServiceOptions options;
+  options.snapshot_path = dir_ / "churn.msrvss";
+  options.compact_ratio = 3.0;
+  options.idle_timeout = 100;
+  options.durable = false;
+  options.faults = &injector;
+  options.retry_base_ms = 0;
+  auto service = std::make_unique<Service>(options);
+
+  stats::Rng rng(50);
+  std::size_t next_name = 0;
+  std::vector<std::string> closed_names;
+  std::size_t retried_rounds = 0;
+  std::size_t reaped = 0;
+  std::size_t reopened = 0;
+  std::size_t deltas = 0;
+  std::size_t bases = 0;
+  constexpr int kRounds = 60;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round == kRounds / 2) {
+      reaped += service->telemetry().idle_timeouts.value();
+      service = std::make_unique<Service>(options);
+      service->restore(options.snapshot_path);
+    }
+    std::vector<std::string> open;  // names open at the start of the round (all saved)
+    for (const auto& tenant : service->table().entries()) open.push_back(tenant->spec.tenant);
+    const auto pick = [&]() -> std::string {
+      // Mostly the recent tenants: the older ones idle until reaped.
+      const auto n = static_cast<std::int64_t>(open.size());
+      const std::int64_t i = rng.uniform_int(std::max<std::int64_t>(0, n - 6), n - 1);
+      return open[static_cast<std::size_t>(i)];
+    };
+    const auto forget = [&](const std::string& name) {
+      open.erase(std::find(open.begin(), open.end(), name));
+      closed_names.push_back(name);
+    };
+    std::vector<std::string> lines;
+    // A transient tenant: opened, stepped and closed between two saves.
+    const std::string transient = "x" + std::to_string(next_name++);
+    lines.push_back(open_line(transient, "MtC", 1));
+    lines.push_back(req_line(transient, {Point{0.5}}));
+    lines.push_back(R"({"type":"close","tenant":")" + transient + R"("})");
+    for (int i = 0; i < 3; ++i) {
+      // Reopen a closed name now and then; its new slot is past the watermark.
+      std::string name;
+      if (!closed_names.empty() && rng.uniform_int(0, 3) == 0) {
+        const auto at = closed_names.begin() + rng.uniform_int(
+                            0, static_cast<std::int64_t>(closed_names.size()) - 1);
+        name = *at;
+        closed_names.erase(at);
+        ++reopened;
+      } else {
+        name = "t" + std::to_string(next_name++);
+      }
+      const bool fleet = i == 2;  // one k = 3 tenant per round
+      lines.push_back(open_line(name, fleet ? alg::fleet_native_names().front() : "MtC", 1,
+                                fleet ? 3 : 1, static_cast<std::uint64_t>(round)));
+      open.push_back(name);
+    }
+    for (int frame = 0; frame < 30 && !open.empty(); ++frame) {
+      const std::int64_t roll = rng.uniform_int(0, 99);
+      if (roll < 88) {
+        lines.push_back(req_line(pick(), {Point{rng.uniform(-3.0, 3.0)}}));
+      } else if (roll < 94) {
+        const std::string name = pick();
+        lines.push_back(R"({"type":"close","tenant":")" + name + R"("})");
+        forget(name);
+      } else if (roll < 96) {
+        const std::string name = pick();  // wrong dim: the error path closes it
+        lines.push_back(req_line(name, {Point{1.0, 2.0}}));
+        forget(name);
+      } else {
+        lines.push_back(R"({"type":"checkpoint"})");
+      }
+    }
+    const std::uint64_t retries_before = service->telemetry().retries.value();
+    const RunOutput run = run_lines(*service, lines);
+    ASSERT_EQ(run.reason, ExitReason::kEof);
+    std::size_t run_bases = 0;
+    for (const io::Json& save : frames_of_type(run, "checkpointed"))
+      (save.at("mode").as_string() == "base" ? run_bases : deltas) += 1;
+    bases += run_bases;
+    if (service->telemetry().retries.value() != retries_before) {
+      ++retried_rounds;
+      EXPECT_GT(run_bases, 0u) << "round " << round << ": the failed append's retry wrote a base";
+    }
+    expect_chain_matches_live(*service, options.snapshot_path, "round " + std::to_string(round));
+    if (HasFatalFailure()) return;
+  }
+  reaped += service->telemetry().idle_timeouts.value();
+
+  EXPECT_EQ(injector.stats(fault::kSiteSnapshotDeltaAppend).fired, 1u);
+  EXPECT_EQ(retried_rounds, 1u);
+  EXPECT_GT(deltas, 2u * static_cast<std::size_t>(kRounds) / 3);
+  EXPECT_GT(bases, 3u);  // first save, the retry, compactions, the restore
+  EXPECT_GT(reaped, 0u);
+  EXPECT_GT(reopened, 0u);
+}
+
+// Erase locates the entry by slot (binary search over the slot-ordered
+// entries); the order, both lookup indexes and from_slot() must survive
+// erasing the first, a middle and the last entry.
+TEST(TenantTable, EraseKeepsSlotOrderAndIndexes) {
+  par::ThreadPool pool(1);
+  core::SessionMultiplexer mux(pool);
+  serve::TenantTable table;
+  std::vector<std::string> names;
+  for (int i = 0; i < 7; ++i) {
+    names.push_back(std::string("t") + std::to_string(i));
+    serve::TenantSpec spec = serve::parse_client_frame(open_line(names.back(), "Lazy", 1)).open;
+    ASSERT_EQ(table.admit(std::move(spec), mux).slot, static_cast<std::size_t>(i));
+  }
+  std::vector<std::size_t> live = {0, 1, 2, 3, 4, 5, 6};
+  for (const std::size_t slot : {std::size_t{0}, std::size_t{3}, std::size_t{6}}) {
+    table.erase(names[slot]);  // first, then a middle entry, then the last
+    live.erase(std::find(live.begin(), live.end(), slot));
+    EXPECT_EQ(table.find(names[slot]), nullptr);
+    EXPECT_EQ(table.find_slot(slot), nullptr);
+    ASSERT_EQ(table.size(), live.size());
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      const serve::Tenant& tenant = *table.entries()[i];
+      EXPECT_EQ(tenant.slot, live[i]);
+      EXPECT_EQ(tenant.spec.tenant, names[live[i]]);
+      EXPECT_EQ(table.find(names[live[i]]), &tenant);
+      EXPECT_EQ(table.find_slot(live[i]), &tenant);
+      // The suffix from a live slot starts at its entry.
+      EXPECT_EQ(table.from_slot(live[i]).size(), live.size() - i);
+      EXPECT_EQ(table.from_slot(live[i]).front().get(), &tenant);
+    }
+    EXPECT_TRUE(table.from_slot(7).empty());
+  }
+  table.erase("t3");  // already gone: a no-op
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_EQ(table.from_slot(3).front()->slot, 4u);  // from an erased slot: the next one
+  EXPECT_EQ(table.from_slot(0).size(), 4u);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot integrity.
 // ---------------------------------------------------------------------------
@@ -783,7 +949,7 @@ TEST(ServeTelemetry, MetricsCutRendersSlotsWithNoTelemetryRow) {
   mux.step(1);
   serve::ServeTelemetry telemetry(/*lean=*/false);
   ++telemetry.tenant_row(1, "t1").reqs;  // slots 0 and 2 have no row
-  EXPECT_EQ(mask_unix_ms(telemetry.metrics_cut(mux)),
+  EXPECT_EQ(mask_unix_ms(telemetry.metrics_cut(mux, mux.totals())),
             mask_unix_ms(telemetry.snapshot_ndjson(mux, mux.snapshot())));
 }
 
