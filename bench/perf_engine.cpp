@@ -57,6 +57,10 @@
 ///                               every few rounds; ckpt_bytes is the encode
 ///                               throughput and dirty_per_save shows the
 ///                               save cost tracking progress, not population.
+///   * scenario/tournament     — run_tournament over the generated starters
+///                               with horizons x4 at 1 and 4 threads; `steps`
+///                               counts cell steps, and the 4-thread row
+///                               reports parallel_efficiency = t1 / (4 × t4).
 /// Each engine benchmark runs at dim 1, 2 and 8; solver benchmarks run at
 /// dim 1 and 2 (the paper's embedding dimensions, where e11 lives).
 ///
@@ -72,8 +76,10 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -85,6 +91,7 @@
 #include "io/cli.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/tournament.hpp"
 #include "serve/service.hpp"
 #include "trace/checkpoint.hpp"
 
@@ -748,6 +755,64 @@ void BM_ScenarioParseCorpus(benchmark::State& state) {
   state.counters["files"] = static_cast<double>(texts.size());
 }
 
+// ---------------------------------------------------------------------------
+// run_tournament end to end: the generated starters (the CSV importer
+// examples need their data files and are left out) with horizons x4 and
+// the full roster, on one pool per row. `steps` counts cell steps (the
+// horizons summed over every played cell). A threads:N > 1 row first times
+// one tournament on a 1-thread pool and reports parallel_efficiency =
+// t1 / (N × tN), measured on run_tournament itself: window, materialisation
+// and harvest included.
+// ---------------------------------------------------------------------------
+
+void BM_Tournament(benchmark::State& state) {
+  namespace scn = mobsrv::scenario;
+  const auto threads = static_cast<unsigned>(state.range(0));
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("mobsrv_perf_tournament_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  for (scn::Scenario sc : scn::starter_corpus()) {
+    if (!sc.params.file.empty()) continue;
+    sc.params.horizon *= 4;
+    std::ofstream(dir / (sc.name + ".json")) << scn::canonical_text(sc) << "\n";
+  }
+  const std::vector<std::filesystem::path> files = scn::list_scenario_files(dir);
+  std::map<std::string, std::size_t> horizons;
+  for (const std::filesystem::path& file : files) {
+    const scn::Scenario sc = scn::load(file);
+    horizons[sc.name] = scn::materialize(sc, dir).instance.horizon();
+  }
+  const auto timed = [&files](par::ThreadPool& pool, scn::TournamentResult& result) {
+    const std::uint64_t begin = mobsrv::obs::now_ns();
+    result = scn::run_tournament(files, pool);
+    return static_cast<double>(mobsrv::obs::now_ns() - begin);
+  };
+
+  scn::TournamentResult result;
+  double t1_ns = 0.0;
+  if (threads > 1) {
+    par::ThreadPool serial(1);
+    t1_ns = timed(serial, result);
+  }
+  par::ThreadPool pool(threads);
+  double wall_ns = 0.0;
+  for (auto _ : state) {
+    wall_ns += timed(pool, result);
+    benchmark::DoNotOptimize(result.leaderboard.data());
+  }
+  std::size_t cell_steps = 0;
+  for (const scn::TournamentCell& cell : result.cells) cell_steps += horizons.at(cell.scenario);
+  state.counters["steps"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * cell_steps), benchmark::Counter::kIsRate);
+  state.counters["cells"] = static_cast<double>(result.cells.size());
+  if (threads > 1 && state.iterations() > 0) {
+    const double tn_ns = wall_ns / static_cast<double>(state.iterations());
+    state.counters["parallel_efficiency"] = t1_ns / (static_cast<double>(threads) * tn_ns);
+  }
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+}
+
 void print_usage(std::ostream& os) {
   os << "usage: mobsrv_perf [--smoke] [--out=PATH] [--benchmark_*...]\n"
         "  --smoke      small workloads + short timings (CI smoke artifact)\n"
@@ -870,6 +935,13 @@ int main(int argc, char** argv) {
       ->UseRealTime();
   benchmark::RegisterBenchmark("scenario/parse_corpus", BM_ScenarioParseCorpus)
       ->MinTime(min_time);
+  for (const int threads : {1, 4}) {
+    benchmark::RegisterBenchmark("scenario/tournament", BM_Tournament)
+        ->Arg(threads)
+        ->ArgName("threads")
+        ->MinTime(min_time)
+        ->UseRealTime();
+  }
 
   std::vector<char*> bench_argv{argv[0]};
   for (std::string& flag : flags) bench_argv.push_back(flag.data());

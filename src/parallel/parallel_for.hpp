@@ -17,7 +17,9 @@
 namespace mobsrv::par {
 
 /// Invokes body(i) for i in [begin, end) across the pool. Blocks until all
-/// iterations completed; rethrows the first exception a body threw.
+/// iterations completed; rethrows the first exception a body threw. Called
+/// from one of \p pool's own workers (a pool task that runs a nested loop),
+/// it runs inline: that worker cannot wait for the pool to go idle.
 template <typename Body>
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t grain,
                   Body&& body) {
@@ -26,7 +28,7 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, std::siz
   if (grain == 0) grain = 1;
   const std::size_t total = end - begin;
   // No point paying queue overhead for tiny ranges or a single worker.
-  if (total <= grain || pool.size() == 1) {
+  if (total <= grain || pool.size() == 1 || pool.owns_current_thread()) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }

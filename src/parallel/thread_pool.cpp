@@ -4,6 +4,13 @@
 
 namespace mobsrv::par {
 
+namespace {
+
+/// The pool whose worker_loop runs on this thread (null elsewhere).
+thread_local const ThreadPool* current_owner = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(threads);
@@ -39,7 +46,10 @@ void ThreadPool::wait_idle() {
   }
 }
 
+bool ThreadPool::owns_current_thread() const noexcept { return current_owner == this; }
+
 void ThreadPool::worker_loop() {
+  current_owner = this;
   for (;;) {
     std::function<void()> task;
     {

@@ -42,8 +42,13 @@ class ThreadPool {
   void submit(std::function<void()> task);
 
   /// Blocks until the queue is drained and all workers are idle, then
-  /// rethrows the first captured task exception (if any).
+  /// rethrows the first captured task exception (if any). Never call it
+  /// from one of this pool's own workers: that worker counts as busy, so
+  /// the wait would never end.
   void wait_idle();
+
+  /// True when the calling thread is one of this pool's workers.
+  [[nodiscard]] bool owns_current_thread() const noexcept;
 
   /// The process-wide default pool (lazily constructed with
   /// hardware_concurrency workers). Intended for the experiment harness;

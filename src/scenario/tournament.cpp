@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <deque>
+#include <exception>
+#include <latch>
 #include <memory>
 #include <utility>
 
@@ -43,6 +47,47 @@ std::vector<std::string> roster_for(const Scenario& sc, const std::vector<std::s
 double ratio_vs(double cost, double best) {
   if (best > 0.0) return cost / best;
   return cost == 0.0 ? 1.0 : 0.0;
+}
+
+/// One materialised scenario of the sliding window. Each of its cells runs
+/// as its own pool task and writes only its own `stats`/`errors` entry;
+/// `done` opens when the last cell has finished. The workload is held by
+/// the cells alone, so it is freed with the scenario's last session.
+struct InFlight {
+  InFlight(std::string name_in, std::vector<std::string> players_in, std::size_t fleet_size_in,
+           double adversary_cost_in)
+      : name(std::move(name_in)),
+        players(std::move(players_in)),
+        fleet_size(fleet_size_in),
+        adversary_cost(adversary_cost_in),
+        stats(players.size()),
+        errors(players.size()),
+        done(static_cast<std::ptrdiff_t>(players.size())) {}
+
+  std::string name;
+  std::vector<std::string> players;  ///< roster order
+  std::size_t fleet_size = 1;
+  double adversary_cost = 0.0;
+  std::vector<core::SessionStats> stats;
+  std::vector<std::exception_ptr> errors;
+  std::latch done;
+};
+
+/// One (scenario × algorithm) cell, run to completion on a pool worker: a
+/// one-session multiplexer, so a cell is built and stepped exactly as in
+/// any other multiplexer. The session and its workload reference are gone
+/// before the cell reports.
+void run_cell(par::ThreadPool& pool, core::SessionSpec spec, InFlight& flight, std::size_t p) {
+  try {
+    core::SessionMultiplexer mux(pool);
+    mux.set_timing_enabled(false);
+    mux.add(std::move(spec));
+    mux.drain();
+    flight.stats[p] = mux.stats(0);
+  } catch (...) {
+    flight.errors[p] = std::current_exception();
+  }
+  flight.done.count_down();
 }
 
 }  // namespace
@@ -93,118 +138,120 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
         std::find(roster.begin(), roster.end(), algorithm) - roster.begin());
   };
 
+  // Closes out the oldest scenario of the window: waits for its cells only,
+  // then appends them in roster order with their ratio against the group's
+  // best cost, and plays the group's pairwise Elo in roster order.
+  std::deque<std::unique_ptr<InFlight>> window;
+  const auto harvest_oldest = [&] {
+    InFlight& flight = *window.front();
+    flight.done.wait();
+    for (const std::exception_ptr& error : flight.errors)
+      if (error) std::rethrow_exception(error);
+    double best = flight.stats.front().total_cost;
+    for (const core::SessionStats& stats : flight.stats) best = std::min(best, stats.total_cost);
+    const std::size_t group_begin = result.cells.size();
+    for (std::size_t p = 0; p < flight.players.size(); ++p) {
+      const core::SessionStats& stats = flight.stats[p];
+      TournamentCell out;
+      out.scenario = flight.name;
+      out.algorithm = flight.players[p];
+      out.fleet_size = flight.fleet_size;
+      out.total_cost = stats.total_cost;
+      out.move_cost = stats.move_cost;
+      out.service_cost = stats.service_cost;
+      out.ratio_vs_best = ratio_vs(stats.total_cost, best);
+      if (flight.adversary_cost > 0.0)
+        out.ratio_vs_adversary = stats.total_cost / flight.adversary_cost;
+      LeaderboardRow& row = rows[roster_index(out.algorithm)];
+      row.scenarios += 1;
+      row.total_cost += out.total_cost;
+      if (out.ratio_vs_best > 0.0) row.ratio_vs_best.add(out.ratio_vs_best);
+      result.cells.push_back(std::move(out));
+    }
+    window.pop_front();
+
+    const std::size_t group_end = result.cells.size();
+    for (std::size_t i = group_begin; i < group_end; ++i) {
+      for (std::size_t j = i + 1; j < group_end; ++j) {
+        const std::size_t a = roster_index(result.cells[i].algorithm);
+        const std::size_t b = roster_index(result.cells[j].algorithm);
+        const double cost_a = result.cells[i].total_cost;
+        const double cost_b = result.cells[j].total_cost;
+        const double score_a = cost_a < cost_b ? 1.0 : (cost_a == cost_b ? 0.5 : 0.0);
+        if (score_a == 1.0) {
+          rows[a].wins += 1;
+          rows[b].losses += 1;
+        } else if (score_a == 0.0) {
+          rows[a].losses += 1;
+          rows[b].wins += 1;
+        } else {
+          rows[a].draws += 1;
+          rows[b].draws += 1;
+        }
+        const double expected_a = 1.0 / (1.0 + std::pow(10.0, (elo[b] - elo[a]) / 400.0));
+        const double delta = kEloK * (score_a - expected_a);
+        elo[a] += delta;  // zero-sum by construction
+        elo[b] -= delta;
+      }
+    }
+  };
+
   const std::size_t chunk = options.chunk == 0 ? 1 : options.chunk;
-  for (std::size_t begin = 0; begin < loaded.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, loaded.size());
-
-    struct PendingCell {
-      std::size_t session = 0;
-      std::string scenario;
-      std::string algorithm;
-      std::size_t fleet_size = 1;
-      double adversary_cost = 0.0;
-      bool last_of_scenario = false;
-    };
-    std::vector<PendingCell> pending;
-    core::SessionMultiplexer mux(pool);
-
-    for (std::size_t s = begin; s < end; ++s) {
-      const Scenario& sc = loaded[s].scenario;
-      const std::vector<std::string> players = roster_for(sc, roster, fleet_native);
+  try {
+    for (const LoadedScenario& entry : loaded) {
+      const Scenario& sc = entry.scenario;
+      std::vector<std::string> players = roster_for(sc, roster, fleet_native);
       if (players.empty()) {
         result.skipped.push_back(sc.name);
         continue;
       }
+      if (window.size() == chunk) harvest_oldest();
       result.scenarios.push_back(sc.name);
 
-      trace::TraceFile file = materialize(sc, loaded[s].base_dir);
-      const double adversary_cost = file.adversary ? file.adversary->cost : 0.0;
-      const auto workload = std::make_shared<const sim::Instance>(std::move(file.instance));
+      // Materialised here while the workers run the earlier scenarios' cells.
+      trace::TraceFile file = materialize(sc, entry.base_dir);
       const std::size_t fleet_size = sc.fleet ? sc.fleet->size : 1;
+      const auto workload = std::make_shared<const sim::Instance>(std::move(file.instance));
       std::vector<sim::Point> starts;
       if (fleet_size > 1)
         starts = ext::spread_starts(*workload, static_cast<int>(fleet_size), sc.fleet->spread);
+      window.push_back(std::make_unique<InFlight>(
+          sc.name, std::move(players), fleet_size, file.adversary ? file.adversary->cost : 0.0));
+      InFlight& flight = *window.back();
 
-      for (const std::string& algorithm : players) {
+      for (std::size_t p = 0; p < flight.players.size(); ++p) {
         core::SessionSpec spec;
         spec.workload = workload;
-        spec.algorithm = algorithm;
+        spec.algorithm = flight.players[p];
         // --seed steers every algorithm's coin flips without touching the
         // workloads (those are pinned by each file's own "seed" member).
         spec.algo_seed = stats::mix_keys({stats::hash_name("tournament"),
-                                          stats::hash_name(sc.name), stats::hash_name(algorithm),
-                                          options.seed});
+                                          stats::hash_name(sc.name),
+                                          stats::hash_name(spec.algorithm), options.seed});
         spec.speed_factor = sc.speed_factor;
         spec.tenant = sc.name;
         spec.fleet_size = fleet_size;
         spec.starts = starts;
-        PendingCell cell;
-        cell.session = mux.add(std::move(spec));
-        cell.scenario = sc.name;
-        cell.algorithm = algorithm;
-        cell.fleet_size = fleet_size;
-        cell.adversary_cost = adversary_cost;
-        cell.last_of_scenario = algorithm == players.back();
-        pending.push_back(std::move(cell));
-      }
-    }
-
-    mux.drain();
-
-    // Harvest chunk cells in submission order (scenario-major, roster order
-    // within), then close out each scenario group: ratios against the
-    // group's best cost, pairwise Elo in roster order.
-    std::size_t group_begin = result.cells.size();
-    for (const PendingCell& cell : pending) {
-      const core::SessionStats stats = mux.stats(cell.session);
-      TournamentCell out;
-      out.scenario = cell.scenario;
-      out.algorithm = cell.algorithm;
-      out.fleet_size = cell.fleet_size;
-      out.total_cost = stats.total_cost;
-      out.move_cost = stats.move_cost;
-      out.service_cost = stats.service_cost;
-      if (cell.adversary_cost > 0.0) out.ratio_vs_adversary = stats.total_cost / cell.adversary_cost;
-      result.cells.push_back(std::move(out));
-
-      if (!cell.last_of_scenario) continue;
-      const std::size_t group_end = result.cells.size();
-      double best = result.cells[group_begin].total_cost;
-      for (std::size_t i = group_begin; i < group_end; ++i)
-        best = std::min(best, result.cells[i].total_cost);
-      for (std::size_t i = group_begin; i < group_end; ++i) {
-        TournamentCell& played = result.cells[i];
-        played.ratio_vs_best = ratio_vs(played.total_cost, best);
-        LeaderboardRow& row = rows[roster_index(played.algorithm)];
-        row.scenarios += 1;
-        row.total_cost += played.total_cost;
-        if (played.ratio_vs_best > 0.0) row.ratio_vs_best.add(played.ratio_vs_best);
-      }
-      for (std::size_t i = group_begin; i < group_end; ++i) {
-        for (std::size_t j = i + 1; j < group_end; ++j) {
-          const std::size_t a = roster_index(result.cells[i].algorithm);
-          const std::size_t b = roster_index(result.cells[j].algorithm);
-          const double cost_a = result.cells[i].total_cost;
-          const double cost_b = result.cells[j].total_cost;
-          const double score_a = cost_a < cost_b ? 1.0 : (cost_a == cost_b ? 0.5 : 0.0);
-          if (score_a == 1.0) {
-            rows[a].wins += 1;
-            rows[b].losses += 1;
-          } else if (score_a == 0.0) {
-            rows[a].losses += 1;
-            rows[b].wins += 1;
-          } else {
-            rows[a].draws += 1;
-            rows[b].draws += 1;
-          }
-          const double expected_a = 1.0 / (1.0 + std::pow(10.0, (elo[b] - elo[a]) / 400.0));
-          const double delta = kEloK * (score_a - expected_a);
-          elo[a] += delta;  // zero-sum by construction
-          elo[b] -= delta;
+        try {
+          pool.submit([&pool, &flight, p, spec = std::move(spec)]() mutable {
+            run_cell(pool, std::move(spec), flight, p);
+          });
+        } catch (...) {
+          flight.done.count_down(static_cast<std::ptrdiff_t>(flight.players.size() - p));
+          throw;
         }
       }
-      group_begin = group_end;
     }
+    while (!window.empty()) harvest_oldest();
+  } catch (...) {
+    // Cell tasks refer to window state: every submitted one finishes before
+    // the window is freed. The first failure in submission order wins, so
+    // the error does not depend on --threads or --chunk.
+    for (const std::unique_ptr<InFlight>& flight : window) flight->done.wait();
+    for (const std::unique_ptr<InFlight>& flight : window)
+      for (const std::exception_ptr& error : flight->errors)
+        if (error) std::rethrow_exception(error);
+    throw;
   }
 
   for (std::size_t i = 0; i < roster.size(); ++i) rows[i].elo = elo[i];

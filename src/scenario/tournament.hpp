@@ -4,13 +4,21 @@
 /// A tournament runs every rostered fleet algorithm over every scenario of
 /// a corpus directory, aggregates per-cell costs and competitive-ratio
 /// samples, and ranks the algorithms on an Elo leaderboard (every pair of
-/// algorithms "plays" each scenario; lower total cost wins). Execution is
-/// chunked: `chunk` scenarios are materialised at a time and all their
-/// (scenario × algorithm) cells run through one core::SessionMultiplexer,
-/// so the memory high-water mark is bounded by the chunk, not the corpus.
-/// Because the multiplexer is bit-deterministic at any thread count and
-/// chunking never reorders cells, the whole result — leaderboard JSON
-/// included — is byte-identical for any `--threads`/`--chunk` choice.
+/// algorithms "plays" each scenario; lower total cost wins).
+///
+/// Execution is a sliding window of at most `chunk` materialised scenarios.
+/// Every (scenario × algorithm) cell runs to completion as its own
+/// par::ThreadPool task, in a one-session core::SessionMultiplexer, while
+/// the calling thread materialises the next scenario. When the window is
+/// full the caller waits for its oldest scenario only, harvests that
+/// scenario's cells in roster order (ratios, leaderboard, Elo) and frees its
+/// slot, so heavy cells never hold a barrier over the rest of the corpus
+/// and peak memory is bounded by the scenarios in flight. Because a cell's
+/// result never depends on which worker ran it or when, and harvest keeps
+/// submission order, the whole result — leaderboard JSON included — is
+/// byte-identical for any `--threads`/`--chunk` choice. A failing cell or
+/// materialisation is reported as the first error in submission order,
+/// after every submitted cell has finished.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +44,8 @@ struct TournamentOptions {
   /// Seeds the *algorithms* (mixed per cell with the scenario name).
   /// Workloads are pinned by each scenario file's own "seed" member.
   std::uint64_t seed = 0;
-  /// Scenarios materialised per multiplexer batch.
+  /// Scenarios in flight: the sliding window's size (0 is taken as 1).
+  /// Bounds peak memory; never changes results.
   std::size_t chunk = 8;
 };
 

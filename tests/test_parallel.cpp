@@ -104,6 +104,33 @@ TEST(ParallelFor, SubRangeRespectsBounds) {
   for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(hits[i], (i >= 5 && i < 15) ? 1 : 0);
 }
 
+TEST(ParallelFor, NestedLoopOnTheSamePoolRunsInlineAndCoversEveryIndex) {
+  // A pool task that runs its own parallel_for on the same pool must not
+  // wait for the pool to go idle: it counts as busy itself.
+  ThreadPool pool(2);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 100;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> on_worker{0};
+  EXPECT_FALSE(pool.owns_current_thread());
+  parallel_for(pool, 0, kOuter, 1, [&](std::size_t outer) {
+    if (pool.owns_current_thread()) on_worker.fetch_add(1);
+    parallel_for(pool, 0, kInner, 3,
+                 [&](std::size_t inner) { hits[outer * kInner + inner].fetch_add(1); });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  EXPECT_EQ(on_worker.load(), static_cast<int>(kOuter));
+
+  // Another pool's worker is not an owner: its loop still fans out.
+  ThreadPool other(2);
+  std::atomic<int> inner_hits{0};
+  parallel_for(pool, 0, 2, 1, [&](std::size_t) {
+    EXPECT_FALSE(other.owns_current_thread());
+    parallel_for(other, 0, 10, 1, [&](std::size_t) { inner_hits.fetch_add(1); });
+  });
+  EXPECT_EQ(inner_hits.load(), 20);
+}
+
 TEST(ParallelFor, ExceptionInBodyPropagates) {
   ThreadPool pool(2);
   EXPECT_THROW(parallel_for(pool, 0, 100, 1,

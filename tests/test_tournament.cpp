@@ -1,10 +1,11 @@
 // Unit tests for scenario/tournament: byte-identical results at any thread
-// count and chunk size, roster/--only validation, fleet-scenario roster
-// restriction and skip reporting, Elo bookkeeping invariants, and the
-// leaderboard serialisations.
+// count and window size, deterministic failures that leave the pool usable,
+// roster/--only validation, fleet-scenario roster restriction and skip
+// reporting, Elo bookkeeping invariants, and the leaderboard serialisations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 
@@ -12,6 +13,8 @@
 #include "common/contracts.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scenario/tournament.hpp"
+#include "stats/rng.hpp"
+#include "trace/codec.hpp"
 
 namespace mobsrv::scenario {
 namespace {
@@ -49,17 +52,30 @@ class TournamentTest : public ::testing::Test {
 };
 
 TEST_F(TournamentTest, ByteIdenticalAtAnyThreadCountAndChunkSize) {
+  // The generated starters, re-seeded and with horizons x4, full roster:
+  // cell lengths range from an 8-step inline scenario to thousands of
+  // steps, so a window's heavy cells finish after lighter cells submitted
+  // behind them. (The CSV starters need their data files; CI covers them
+  // with the committed corpus.)
+  const fs::path corpus = dir_ / "starters";
+  fs::create_directories(corpus);
+  for (Scenario sc : starter_corpus()) {
+    if (!sc.params.file.empty()) continue;
+    sc.seed = stats::mix_keys({stats::hash_name(sc.name), 7});
+    sc.params.horizon *= 4;
+    std::ofstream(corpus / (sc.name + ".json")) << canonical_text(sc) << "\n";
+  }
   TournamentOptions options;
-  options.algorithms = {"MtC", "Lazy", "AssignAndChase"};
   options.seed = 7;
 
   std::string baseline;
-  for (const unsigned threads : {1u, 4u}) {
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{8}}) {
-      par::ThreadPool pool(threads);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                                    std::size_t{16}}) {
       TournamentOptions opts = options;
       opts.chunk = chunk;
-      const std::string report = tournament_to_json(run_tournament(dir_, pool, opts)).dump();
+      const std::string report = tournament_to_json(run_tournament(corpus, pool, opts)).dump();
       if (baseline.empty())
         baseline = report;
       else
@@ -67,6 +83,48 @@ TEST_F(TournamentTest, ByteIdenticalAtAnyThreadCountAndChunkSize) {
     }
   }
   EXPECT_FALSE(baseline.empty());
+}
+
+TEST_F(TournamentTest, FailureIsTheFirstErrorInSubmissionOrderAndLeavesThePoolUsable) {
+  // "middle" sorts between "bursty" and "squad": with a window wider than
+  // one, the cells of the scenarios before it are still running when its
+  // materialisation fails, and they must finish before the window is freed.
+  write("middle.json",
+        R"({"v": 1, "name": "middle", "kind": "demand",
+            "params": {"d": 2, "m": 1, "file": "data/no-such.csv"}})");
+  TournamentOptions options;
+  options.algorithms = {"MtC", "Lazy", "AssignAndChase"};
+  TournamentOptions healthy = options;
+  healthy.only = {"alpha", "zig"};
+
+  std::string expected;
+  std::string healthy_report;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    par::ThreadPool pool(threads);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      TournamentOptions opts = options;
+      opts.chunk = chunk;
+      std::string message;
+      try {
+        (void)run_tournament(dir_, pool, opts);
+        ADD_FAILURE() << "a missing CSV must fail the tournament";
+      } catch (const trace::TraceError& error) {
+        message = error.what();
+      }
+      EXPECT_NE(message.find("no-such.csv"), std::string::npos) << message;
+      if (expected.empty()) expected = message;
+      EXPECT_EQ(message, expected) << threads << " threads, chunk " << chunk;
+
+      // The pool carries no stale error and runs the next tournament.
+      std::atomic<int> ran{0};
+      pool.submit([&ran] { ran.fetch_add(1); });
+      pool.wait_idle();
+      EXPECT_EQ(ran.load(), 1);
+      const std::string report = tournament_to_json(run_tournament(dir_, pool, healthy)).dump();
+      if (healthy_report.empty()) healthy_report = report;
+      EXPECT_EQ(report, healthy_report) << threads << " threads, chunk " << chunk;
+    }
+  }
 }
 
 TEST_F(TournamentTest, DefaultRosterIsEveryFleetAlgorithm) {
