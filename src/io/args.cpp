@@ -48,7 +48,10 @@ double Args::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
   try {
-    return std::stod(*v);
+    std::size_t used = 0;
+    const double parsed = std::stod(*v, &used);
+    if (used != v->size()) throw std::invalid_argument(*v);
+    return parsed;
   } catch (const std::exception&) {
     throw ContractViolation("flag --" + name + " expects a number, got '" + *v + "'");
   }
@@ -58,7 +61,10 @@ int Args::get_int(const std::string& name, int fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
   try {
-    return std::stoi(*v);
+    std::size_t used = 0;
+    const int parsed = std::stoi(*v, &used);
+    if (used != v->size()) throw std::invalid_argument(*v);
+    return parsed;
   } catch (const std::exception&) {
     throw ContractViolation("flag --" + name + " expects an integer, got '" + *v + "'");
   }

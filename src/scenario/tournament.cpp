@@ -1,12 +1,14 @@
 #include "scenario/tournament.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <latch>
 #include <memory>
+#include <semaphore>
 #include <utility>
 
 #include "algorithms/registry.hpp"
@@ -49,20 +51,40 @@ double ratio_vs(double cost, double best) {
   return cost == 0.0 ? 1.0 : 0.0;
 }
 
+/// Steps a cell advances per pool task before it re-queues itself behind
+/// every other runnable cell. Median job wall over perfbench's four seed-1
+/// tournament-batch corpora at 4 threads (32 jobs per size, 4-core
+/// container): 518 ms at 64 steps, 524 at 256, 516-520 at 1024, 527 at
+/// 4096, 562 at 16384 and 578 unsliced. Slices of 64-4096 steps tie
+/// within noise; 1024 takes the fewest queue round trips of those, while
+/// longer slices let the heavy cells that start late set the tail again.
+constexpr std::size_t kSliceSteps = 1024;
+
 /// One materialised scenario of the sliding window. Each of its cells runs
-/// as its own pool task and writes only its own `stats`/`errors` entry;
-/// `done` opens when the last cell has finished. The workload is held by
-/// the cells alone, so it is freed with the scenario's last session.
+/// as a chain of pool tasks and writes only its own `stats`/`errors` entry.
+/// The cell that finishes last releases the scenario's `running` slot, then
+/// every cell counts `done` down, so `done` opens only after the slot is
+/// back. The workload is held by the cells alone, so it is freed with the
+/// scenario's last session.
 struct InFlight {
   InFlight(std::string name_in, std::vector<std::string> players_in, std::size_t fleet_size_in,
-           double adversary_cost_in)
+           double adversary_cost_in, std::counting_semaphore<>& running_in)
       : name(std::move(name_in)),
         players(std::move(players_in)),
         fleet_size(fleet_size_in),
         adversary_cost(adversary_cost_in),
         stats(players.size()),
         errors(players.size()),
+        running(running_in),
+        unfinished(players.size()),
         done(static_cast<std::ptrdiff_t>(players.size())) {}
+
+  /// Marks \p cells cells finished. Nothing of this scenario may be touched
+  /// afterwards: the caller frees it once `done` opens.
+  void finish(std::size_t cells) {
+    if (unfinished.fetch_sub(cells) == cells) running.release();
+    done.count_down(static_cast<std::ptrdiff_t>(cells));
+  }
 
   std::string name;
   std::vector<std::string> players;  ///< roster order
@@ -70,24 +92,48 @@ struct InFlight {
   double adversary_cost = 0.0;
   std::vector<core::SessionStats> stats;
   std::vector<std::exception_ptr> errors;
+  std::counting_semaphore<>& running;  ///< the window's running-scenario slots
+  std::atomic<std::size_t> unfinished;
   std::latch done;
 };
 
-/// One (scenario × algorithm) cell, run to completion on a pool worker: a
-/// one-session multiplexer, so a cell is built and stepped exactly as in
-/// any other multiplexer. The session and its workload reference are gone
-/// before the cell reports.
-void run_cell(par::ThreadPool& pool, core::SessionSpec spec, InFlight& flight, std::size_t p) {
+/// One (scenario × algorithm) cell: a one-session multiplexer, so a cell is
+/// built and stepped exactly as in any other multiplexer. Only one slice of
+/// a cell is ever queued or running, and the pool's queue lock orders one
+/// slice before the next, whichever workers run them.
+struct Cell {
+  Cell(par::ThreadPool& pool_in, core::SessionSpec spec_in, InFlight& flight_in, std::size_t p_in)
+      : pool(pool_in), spec(std::move(spec_in)), flight(flight_in), p(p_in) {}
+
+  par::ThreadPool& pool;
+  core::SessionSpec spec;  ///< moved into `mux` by the first slice
+  std::unique_ptr<core::SessionMultiplexer> mux;
+  InFlight& flight;
+  std::size_t p;  ///< roster position within the scenario
+};
+
+/// Runs one slice of \p cell on a pool worker and re-queues the cell while
+/// steps remain. A slice that throws, or a re-queue that fails, is the
+/// cell's error and finishes it. The session and its workload reference
+/// are gone before the cell reports.
+void run_slice(const std::shared_ptr<Cell>& cell) {
+  InFlight& flight = cell->flight;
   try {
-    core::SessionMultiplexer mux(pool);
-    mux.set_timing_enabled(false);
-    mux.add(std::move(spec));
-    mux.drain();
-    flight.stats[p] = mux.stats(0);
+    if (!cell->mux) {
+      cell->mux = std::make_unique<core::SessionMultiplexer>(cell->pool);
+      cell->mux->set_timing_enabled(false);
+      cell->mux->add(std::move(cell->spec));
+    }
+    if (cell->mux->step(kSliceSteps) > 0) {
+      cell->pool.submit([cell] { run_slice(cell); });
+      return;
+    }
+    flight.stats[cell->p] = cell->mux->stats(0);
   } catch (...) {
-    flight.errors[p] = std::current_exception();
+    flight.errors[cell->p] = std::current_exception();
   }
-  flight.done.count_down();
+  cell->mux.reset();
+  flight.finish(1);
 }
 
 }  // namespace
@@ -137,6 +183,15 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
     return static_cast<std::size_t>(
         std::find(roster.begin(), roster.end(), algorithm) - roster.begin());
   };
+
+  // Scenarios whose cells are still running hold one slot each: the caller
+  // takes one before it materialises a scenario, and that scenario's last
+  // cell gives it back. Declared before the window, so it outlives every
+  // cell that may release it. Clamping to the corpus size keeps any --chunk
+  // within the semaphore's max().
+  const std::size_t chunk =
+      std::clamp<std::size_t>(options.chunk, 1, std::max<std::size_t>(loaded.size(), 1));
+  std::counting_semaphore<> running(static_cast<std::ptrdiff_t>(chunk));
 
   // Closes out the oldest scenario of the window: waits for its cells only,
   // then appends them in roster order with their ratio against the group's
@@ -196,7 +251,6 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
     }
   };
 
-  const std::size_t chunk = options.chunk == 0 ? 1 : options.chunk;
   try {
     for (const LoadedScenario& entry : loaded) {
       const Scenario& sc = entry.scenario;
@@ -205,7 +259,7 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
         result.skipped.push_back(sc.name);
         continue;
       }
-      if (window.size() == chunk) harvest_oldest();
+      running.acquire();
       result.scenarios.push_back(sc.name);
 
       // Materialised here while the workers run the earlier scenarios' cells.
@@ -215,8 +269,9 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
       std::vector<sim::Point> starts;
       if (fleet_size > 1)
         starts = ext::spread_starts(*workload, static_cast<int>(fleet_size), sc.fleet->spread);
-      window.push_back(std::make_unique<InFlight>(
-          sc.name, std::move(players), fleet_size, file.adversary ? file.adversary->cost : 0.0));
+      window.push_back(std::make_unique<InFlight>(sc.name, std::move(players), fleet_size,
+                                                  file.adversary ? file.adversary->cost : 0.0,
+                                                  running));
       InFlight& flight = *window.back();
 
       for (std::size_t p = 0; p < flight.players.size(); ++p) {
@@ -233,14 +288,16 @@ TournamentResult run_tournament(const std::vector<std::filesystem::path>& files,
         spec.fleet_size = fleet_size;
         spec.starts = starts;
         try {
-          pool.submit([&pool, &flight, p, spec = std::move(spec)]() mutable {
-            run_cell(pool, std::move(spec), flight, p);
-          });
+          auto cell = std::make_shared<Cell>(pool, std::move(spec), flight, p);
+          pool.submit([cell] { run_slice(cell); });
         } catch (...) {
-          flight.done.count_down(static_cast<std::ptrdiff_t>(flight.players.size() - p));
+          flight.finish(flight.players.size() - p);
           throw;
         }
       }
+      // Harvest never blocks here: a slow oldest scenario holds back only
+      // its own report, not the next materialisation.
+      while (!window.empty() && window.front()->done.try_wait()) harvest_oldest();
     }
     while (!window.empty()) harvest_oldest();
   } catch (...) {

@@ -6,19 +6,23 @@
 /// samples, and ranks the algorithms on an Elo leaderboard (every pair of
 /// algorithms "plays" each scenario; lower total cost wins).
 ///
-/// Execution is a sliding window of at most `chunk` materialised scenarios.
-/// Every (scenario × algorithm) cell runs to completion as its own
-/// par::ThreadPool task, in a one-session core::SessionMultiplexer, while
-/// the calling thread materialises the next scenario. When the window is
-/// full the caller waits for its oldest scenario only, harvests that
-/// scenario's cells in roster order (ratios, leaderboard, Elo) and frees its
-/// slot, so heavy cells never hold a barrier over the rest of the corpus
-/// and peak memory is bounded by the scenarios in flight. Because a cell's
-/// result never depends on which worker ran it or when, and harvest keeps
-/// submission order, the whole result — leaderboard JSON included — is
-/// byte-identical for any `--threads`/`--chunk` choice. A failing cell or
-/// materialisation is reported as the first error in submission order,
-/// after every submitted cell has finished.
+/// Execution is a sliding window of at most `chunk` running scenarios.
+/// Every (scenario × algorithm) cell is a one-session
+/// core::SessionMultiplexer stepped a bounded slice at a time: each slice
+/// is one par::ThreadPool task that re-queues the cell behind every other
+/// runnable cell while steps remain, so all running cells progress
+/// together. A counting semaphore holds the window: the calling thread
+/// takes a slot before it materialises a scenario, and the scenario's last
+/// cell gives it back, so the next materialisation waits for any running
+/// scenario, never for the oldest. Reports are harvested in submission
+/// order (ratios, leaderboard, Elo) without blocking while scenarios
+/// remain to submit; peak memory is bounded by the running scenarios.
+/// Because a cell's result never depends on which workers ran its slices
+/// or when, and harvest keeps submission order, the whole result —
+/// leaderboard JSON included — is byte-identical for any
+/// `--threads`/`--chunk` choice. A failing slice or materialisation is
+/// reported as the first error in submission order, after every submitted
+/// cell has finished.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +48,9 @@ struct TournamentOptions {
   /// Seeds the *algorithms* (mixed per cell with the scenario name).
   /// Workloads are pinned by each scenario file's own "seed" member.
   std::uint64_t seed = 0;
-  /// Scenarios in flight: the sliding window's size (0 is taken as 1).
-  /// Bounds peak memory; never changes results.
+  /// Scenarios whose cells are still running: the sliding window's size,
+  /// clamped to [1, corpus size] (0 is taken as 1). Bounds peak memory;
+  /// never changes results.
   std::size_t chunk = 8;
 };
 

@@ -133,6 +133,18 @@ TEST(Args, MalformedNumbersThrow) {
   EXPECT_THROW((void)a.get_double("x", 0.0), ContractViolation);
 }
 
+TEST(Args, TrailingCharactersThrow) {
+  // The whole value must parse: "--chunk=3x" is a typo, not 3.
+  const Args a = parse({"prog", "--n=3x", "--d=2.5s", "--u=7 ", "--ok=12", "--okd=1e3"});
+  EXPECT_THROW((void)a.get_int("n", 0), ContractViolation);
+  EXPECT_THROW((void)a.get_double("d", 0.0), ContractViolation);
+  EXPECT_THROW((void)a.get_int("u", 0), ContractViolation);
+  EXPECT_THROW((void)a.get_double("u", 0.0), ContractViolation);
+  EXPECT_THROW((void)a.get_uint64("n", 0), ContractViolation);
+  EXPECT_EQ(a.get_int("ok", 0), 12);
+  EXPECT_DOUBLE_EQ(a.get_double("okd", 0.0), 1000.0);
+}
+
 TEST(Args, NegativeNumberAsValue) {
   const Args a = parse({"prog", "--x=-3.5"});
   EXPECT_DOUBLE_EQ(a.get_double("x", 0.0), -3.5);

@@ -1,13 +1,19 @@
 // Tests for core::SessionMultiplexer: determinism for any thread count at
 // >= 1000 concurrent sessions, accounting parity with individual engine
-// runs, step/drain/snapshot semantics, and error propagation.
+// runs, step/drain/snapshot semantics (sliced step() rounds end in the bits
+// of one drain()), and error propagation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "adversary/workloads.hpp"
 #include "algorithms/registry.hpp"
 #include "core/session_multiplexer.hpp"
+#include "ext/multi_server.hpp"
 #include "stats/rng.hpp"
 
 namespace mobsrv {
@@ -610,6 +616,72 @@ TEST(SessionMultiplexer, DirtySlotsTrackStepsSinceMarkSaved) {
   const std::vector<std::size_t> dirty = mux.dirty_slots();
   EXPECT_EQ(dirty.size(), 3u);
   for (const std::size_t id : dirty) EXPECT_NE(id, 0u);
+}
+
+/// A double's exact bits: -0.0, NaN payloads and the last ulp all count.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_point_bits(const sim::Point& a, const sim::Point& b, const std::string& what) {
+  ASSERT_EQ(a.dim(), b.dim()) << what;
+  for (int i = 0; i < a.dim(); ++i) EXPECT_EQ(bits(a[i]), bits(b[i])) << what << " coord " << i;
+}
+
+TEST(SessionMultiplexer, SlicedStepsMatchDrainBitIdentically) {
+  // The tournament advances each cell in bounded step() slices, on
+  // whichever worker is free, instead of one drain(): the session must end
+  // in exactly the state one drain() leaves, for every fleet algorithm.
+  par::ThreadPool pool(3);
+  const auto workload = sample_workload(77, 2500);
+  struct Case {
+    std::string algorithm;
+    std::size_t fleet_size;
+  };
+  std::vector<Case> cases;
+  for (const std::string& name : alg::fleet_algorithm_names()) cases.push_back({name, 1});
+  for (const std::string& name : alg::fleet_native_names()) cases.push_back({name, 4});
+
+  const auto run = [&](const Case& c, std::size_t slice) {
+    SessionMultiplexer mux(pool);
+    SessionSpec spec;
+    spec.workload = workload;
+    spec.algorithm = c.algorithm;
+    spec.algo_seed = 0x5eed + c.fleet_size;  // CoinFlip draws from it
+    spec.speed_factor = 1.5;
+    spec.fleet_size = c.fleet_size;
+    if (c.fleet_size > 1) spec.starts = ext::spread_starts(*workload, 4, 3.0);
+    mux.add(std::move(spec));
+    if (slice == 0) {
+      mux.drain();
+    } else {
+      while (mux.step(slice) > 0) {
+      }
+    }
+    return mux.stats(0);
+  };
+
+  for (const Case& c : cases) {
+    const SessionStats drained = run(c, 0);
+    ASSERT_EQ(drained.steps, workload->horizon()) << c.algorithm;
+    for (const std::size_t slice : {std::size_t{1}, std::size_t{7}, std::size_t{1024}}) {
+      const std::string what = c.algorithm + " k=" + std::to_string(c.fleet_size) + " slice " +
+                               std::to_string(slice);
+      const SessionStats sliced = run(c, slice);
+      EXPECT_EQ(sliced.steps, drained.steps) << what;
+      EXPECT_TRUE(sliced.done) << what;
+      EXPECT_EQ(bits(sliced.total_cost), bits(drained.total_cost)) << what;
+      EXPECT_EQ(bits(sliced.move_cost), bits(drained.move_cost)) << what;
+      EXPECT_EQ(bits(sliced.service_cost), bits(drained.service_cost)) << what;
+      ASSERT_EQ(sliced.per_server_move_cost.size(), c.fleet_size) << what;
+      ASSERT_EQ(sliced.per_server_move_cost.size(), drained.per_server_move_cost.size()) << what;
+      for (std::size_t k = 0; k < c.fleet_size; ++k)
+        EXPECT_EQ(bits(sliced.per_server_move_cost[k]), bits(drained.per_server_move_cost[k]))
+            << what << " server " << k;
+      ASSERT_EQ(sliced.positions.size(), drained.positions.size()) << what;
+      for (std::size_t k = 0; k < sliced.positions.size(); ++k)
+        expect_same_point_bits(sliced.positions[k], drained.positions[k],
+                               what + " server " + std::to_string(k));
+    }
+  }
 }
 
 }  // namespace

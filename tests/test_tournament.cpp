@@ -1,5 +1,7 @@
 // Unit tests for scenario/tournament: byte-identical results at any thread
-// count and window size, deterministic failures that leave the pool usable,
+// count and window size (a window wider than the corpus included), sliced
+// cells that report what one drained session reports, deterministic
+// failures that leave the pool usable,
 // roster/--only validation, fleet-scenario roster restriction and skip
 // reporting, Elo bookkeeping invariants, and the leaderboard serialisations.
 #include <gtest/gtest.h>
@@ -8,9 +10,12 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "algorithms/registry.hpp"
 #include "common/contracts.hpp"
+#include "core/session_multiplexer.hpp"
+#include "ext/multi_server.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scenario/tournament.hpp"
 #include "stats/rng.hpp"
@@ -83,6 +88,70 @@ TEST_F(TournamentTest, ByteIdenticalAtAnyThreadCountAndChunkSize) {
     }
   }
   EXPECT_FALSE(baseline.empty());
+}
+
+TEST_F(TournamentTest, EveryCellReportsWhatOneDrainedSessionReports) {
+  // Cells several slices long are stepped by many pool tasks on whichever
+  // worker is free; each must report exactly what one drain() of the same
+  // session reports (same workload, starts and per-cell algorithm seed).
+  write("long.json",
+        R"({"v": 1, "name": "long", "kind": "drifting-hotspot", "seed": 5,
+            "speed_factor": 1.5, "params": {"horizon": 3000}})");
+  write("longsquad.json",
+        R"({"v": 1, "name": "longsquad", "kind": "uniform-noise", "seed": 6,
+            "params": {"horizon": 2500}, "fleet": {"size": 3, "spread": 3.0}})");
+  TournamentOptions options;
+  options.seed = 11;
+  options.only = {"long", "longsquad"};
+  par::ThreadPool pool(4);
+  const TournamentResult result = run_tournament(dir_, pool, options);
+  ASSERT_EQ(result.cells.size(), alg::fleet_algorithm_names().size() +
+                                     alg::fleet_native_names().size());
+  for (const TournamentCell& cell : result.cells) {
+    const Scenario sc = load(dir_ / (cell.scenario + ".json"));
+    core::SessionSpec spec;
+    spec.workload = std::make_shared<const sim::Instance>(materialize(sc, dir_).instance);
+    spec.algorithm = cell.algorithm;
+    spec.algo_seed =
+        stats::mix_keys({stats::hash_name("tournament"), stats::hash_name(sc.name),
+                         stats::hash_name(cell.algorithm), options.seed});
+    spec.speed_factor = sc.speed_factor;
+    spec.fleet_size = cell.fleet_size;
+    if (sc.fleet)
+      spec.starts = ext::spread_starts(*spec.workload, static_cast<int>(sc.fleet->size),
+                                       sc.fleet->spread);
+    core::SessionMultiplexer mux(pool);
+    mux.add(std::move(spec));
+    mux.drain();
+    const core::SessionStats drained = mux.stats(0);
+    const std::string what = cell.scenario + "/" + cell.algorithm;
+    EXPECT_EQ(cell.total_cost, drained.total_cost) << what;
+    EXPECT_EQ(cell.move_cost, drained.move_cost) << what;
+    EXPECT_EQ(cell.service_cost, drained.service_cost) << what;
+  }
+}
+
+TEST_F(TournamentTest, WindowWiderThanTheCorpusIsClampedAndChangesNothing) {
+  // --chunk counts running scenarios in a semaphore; a window far wider
+  // than the corpus is clamped to the corpus size and must run exactly
+  // like a one-scenario window.
+  TournamentOptions narrow;
+  narrow.seed = 3;
+  narrow.chunk = 1;
+  TournamentOptions wide = narrow;
+  wide.chunk = 1'000'000;
+  std::string baseline;
+  for (const unsigned threads : {1u, 4u}) {
+    par::ThreadPool pool(threads);
+    for (const TournamentOptions& opts : {narrow, wide}) {
+      const std::string report = tournament_to_json(run_tournament(dir_, pool, opts)).dump();
+      if (baseline.empty())
+        baseline = report;
+      else
+        EXPECT_EQ(report, baseline) << threads << " threads, chunk " << opts.chunk;
+    }
+  }
+  EXPECT_NE(baseline.find("\"squad\""), std::string::npos);
 }
 
 TEST_F(TournamentTest, FailureIsTheFirstErrorInSubmissionOrderAndLeavesThePoolUsable) {

@@ -2,7 +2,7 @@
 /// mobsrv_tournament — rank every fleet algorithm over a scenario corpus.
 ///
 /// Loads and validates a directory of scenario files (src/scenario/), runs
-/// every rostered algorithm on every scenario, one pool task per cell, and
+/// every rostered algorithm on every scenario as time-sliced pool tasks, and
 /// prints an Elo leaderboard — markdown by default, the full
 /// machine-readable report with --json. The output is byte-identical
 /// at any --threads/--chunk value, so CI can diff two runs to assert
@@ -33,7 +33,7 @@ void print_usage(std::ostream& out) {
          "  --corpus=DIR        directory of *.json scenario files (required)\n"
          "  --only=a,b          run only the named scenarios\n"
          "  --algorithms=a,b    roster (default: every registered fleet algorithm)\n"
-         "  --chunk=N           scenarios in flight (default 8)\n"
+         "  --chunk=N           scenarios whose cells are still running (default 8)\n"
          "  --threads=N         worker threads (default: hardware concurrency)\n"
          "  --seed=N            algorithm seed; workloads keep their file seeds (default 0)\n"
          "  --json              print the full JSON report instead of markdown\n"
