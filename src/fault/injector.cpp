@@ -43,7 +43,7 @@ void Injector::hit(std::string_view site) {
     if (!fire) continue;
     ++rs.fired;
     ++state.fired;
-    ++total_fired_;
+    total_fired_.fetch_add(1, std::memory_order_relaxed);
     if (rule.delay_us != 0)
       std::this_thread::sleep_for(std::chrono::microseconds(rule.delay_us));
     switch (rule.outcome) {

@@ -25,11 +25,13 @@
 /// pins the disabled hook's cost within the existing 2% obs discipline.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "stats/rng.hpp"
@@ -83,11 +85,25 @@ struct SiteRule {
   Outcome outcome = Outcome::kFail;
 };
 
-/// Deterministic fault scheduler. Not thread-safe: the serve loop hits
-/// sites from its frame thread only (the mux workers never hold one).
+/// Deterministic fault scheduler. Thread contract: register every rule
+/// before the service starts, then hit each site from exactly one thread.
+/// The serve loop hits serve.read and tenant.step from its frame thread
+/// and the persistence sites (snapshot.*, metrics.write) from its writer
+/// thread; the mux workers never hold one. Sites keep separate state, so
+/// only the cross-site total is shared (atomic).
 class Injector {
  public:
   explicit Injector(std::uint64_t seed = 0) : seed_(seed) {}
+  /// Moves are for building an injector (make_injector, --fault-plan
+  /// parsing), before any thread hits it.
+  Injector(Injector&& other) noexcept { *this = std::move(other); }
+  Injector& operator=(Injector&& other) noexcept {
+    seed_ = other.seed_;
+    total_fired_.store(other.total_fired(), std::memory_order_relaxed);
+    rules_added_ = other.rules_added_;
+    sites_ = std::move(other.sites_);
+    return *this;
+  }
 
   /// Registers a rule. A rule with no armed trigger never fires.
   void add_rule(SiteRule rule);
@@ -104,7 +120,9 @@ class Injector {
   };
   [[nodiscard]] SiteStats stats(std::string_view site) const;
   /// Total rule firings across every site.
-  [[nodiscard]] std::uint64_t total_fired() const noexcept { return total_fired_; }
+  [[nodiscard]] std::uint64_t total_fired() const noexcept {
+    return total_fired_.load(std::memory_order_relaxed);
+  }
   /// True when no rules are registered (the injector is inert).
   [[nodiscard]] bool empty() const noexcept { return sites_.empty(); }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
@@ -124,7 +142,7 @@ class Injector {
   };
 
   std::uint64_t seed_;
-  std::uint64_t total_fired_ = 0;
+  std::atomic<std::uint64_t> total_fired_{0};
   std::uint64_t rules_added_ = 0;
   std::unordered_map<std::string, SiteState> sites_;
 };

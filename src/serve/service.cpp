@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <thread>
 #include <utility>
@@ -31,6 +32,8 @@ Service::Service(ServiceOptions options)
     std::error_code ignored;
     std::filesystem::remove(tmp, ignored);
   }
+  if (!options_.snapshot_path.empty() || !options_.metrics_path.empty())
+    writer_ = std::make_unique<par::ThreadPool>(1);
 }
 
 void Service::restore(const std::filesystem::path& path) {
@@ -145,6 +148,7 @@ void Service::handle_open(TenantSpec spec, std::ostream& out) {
   try {
     Tenant& tenant = table_.admit(std::move(spec), mux_);
     tenant.last_activity = lines_;
+    next_reap_line_ = std::min(next_reap_line_, lines_ + options_.idle_timeout);
     telemetry_.tenant_row(tenant.slot, name);
     telemetry_.tenants_opened.inc();
     telemetry_.tenants_open.add(1);
@@ -253,6 +257,7 @@ void Service::handle_metrics(std::ostream& out) {
   // Quiesce first: with every accepted step consumed, the frame's counters
   // satisfy reqs == outcomes + busys (barring error-closed tenants).
   pump(out);
+  settle_writes(out, /*wait=*/true);
   const core::MuxTotals totals = mux_.totals();
   out << metrics_frame(telemetry_.collect(totals), mux_.snapshot(), telemetry_.rows(mux_.size()))
       << '\n';
@@ -268,6 +273,7 @@ void Service::handle_checkpoint(std::ostream& out) {
     return;
   }
   pump(out);  // snapshots are taken at quiescent points only
+  settle_writes(out, /*wait=*/true);  // frames keep save order
   save_snapshot(out, mux_.totals());
 }
 
@@ -388,29 +394,62 @@ void Service::pump(std::ostream& out) {
     }
   }
   reap_idle(out);
-  const bool save_due = !options_.snapshot_path.empty() && options_.checkpoint_every != 0 &&
-                        steps_since_snapshot_ >= options_.checkpoint_every;
-  const bool cut_due = !options_.metrics_path.empty() && options_.metrics_every != 0 &&
-                       steps_since_metrics_ >= options_.metrics_every;
-  if (!save_due && !cut_due) return;
+  settle_writes(out, /*wait=*/false);
+  const auto save_due = [this] {
+    return !options_.snapshot_path.empty() && options_.checkpoint_every != 0 &&
+           steps_since_snapshot_ >= options_.checkpoint_every;
+  };
+  const auto cut_due = [this] {
+    return !options_.metrics_path.empty() && options_.metrics_every != 0 &&
+           steps_since_metrics_ >= options_.metrics_every;
+  };
+  if (!save_due() && !cut_due()) return;
+  // The save boundary: the pump does only the work that reads the mux, then
+  // hands the writes to the writer and goes on. It waits only while the
+  // previous boundary's job is still in flight (the slot is one deep).
+  const std::uint64_t start = telemetry_.save_stall != nullptr ? obs::now_ns() : 0;
+  settle_writes(out, /*wait=*/true);
+  const bool save = save_due();
+  const bool cut = cut_due();
   // One totals() scan serves the checkpointed frame and the cut's head:
   // saving changes nothing it reports.
   const core::MuxTotals totals = mux_.totals();
-  if (save_due) save_snapshot(out, totals);
-  if (cut_due) write_metrics(out, totals);
+  if (save) {
+    begin_snapshot(totals);
+    // A healthy service books the save at hand-off, so this boundary's cut
+    // shows it exactly as a synchronous save would. A degraded one books
+    // it when it lands: a write that fails again must not end the episode.
+    if (!degraded_) {
+      book_snapshot(job_.segment.size());
+      job_.booked = true;
+    }
+  }
+  if (cut) begin_cut(totals);
+  if (save || cut) submit_job();
+  if (telemetry_.save_stall != nullptr) telemetry_.save_stall->record(obs::now_ns() - start);
 }
 
 void Service::reap_idle(std::ostream& out) {
-  if (options_.idle_timeout == 0) return;
+  if (options_.idle_timeout == 0 || lines_ < next_reap_line_) return;
   // Collect first: closing mutates the table under iteration otherwise.
   std::vector<std::string> expired;
+  std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
   for (const auto& tenant : table_.entries()) {
-    if (lines_ - tenant->last_activity < options_.idle_timeout) continue;
+    const std::uint64_t deadline = tenant->last_activity + options_.idle_timeout;
+    if (lines_ < deadline) {
+      next = std::min(next, deadline);
+      continue;
+    }
     // A tenant with queued (possibly throttled) work is waiting on the
     // service, not idle — pausing a rate-limited workload is legitimate.
-    if (tenant->workload->horizon() > tenant->emitted) continue;
+    // It may expire as soon as its queue drains: look again next pump.
+    if (tenant->workload->horizon() > tenant->emitted) {
+      next = lines_;
+      continue;
+    }
     expired.push_back(tenant->spec.tenant);
   }
+  next_reap_line_ = next;
   for (const std::string& name : expired) {
     Tenant* tenant = table_.find(name);
     if (tenant == nullptr) continue;
@@ -430,66 +469,156 @@ void Service::reap_idle(std::ostream& out) {
   }
 }
 
-void Service::save_snapshot(std::ostream& out, const core::MuxTotals& totals) {
+void Service::save_snapshot(std::ostream& out, const core::MuxTotals& totals,
+                            std::size_t first_attempt, std::string last_error) {
   if (options_.snapshot_path.empty()) return;
-  SnapshotWriteOptions write_options;
-  write_options.durable = options_.durable;
-  write_options.faults = options_.faults;
-  std::string last_error;
-  for (std::size_t attempt = 0; attempt <= options_.retry_limit; ++attempt) {
+  for (std::size_t attempt = first_attempt; attempt <= options_.retry_limit; ++attempt) {
     if (attempt != 0) retry_backoff("snapshot save", attempt, last_error);
-    try {
-      // A fresh base when this process has not written one yet (slot ids
-      // are process-local, so appending to a previous process's chain would
-      // lie) or when the delta chain has outgrown the compaction threshold.
-      // Recomputed per attempt: a failed try clears have_base_ below, so
-      // retries always rewrite a fresh base atomically.
-      const bool compacting =
-          have_base_ && delta_bytes_ >= options_.compact_ratio * static_cast<double>(base_bytes_);
-      const bool base = !have_base_ || compacting;
-      std::uint64_t bytes = 0;
-      if (base) {
-        if (compacting)
-          telemetry_.journal().record(
-              obs::EventType::kCompact, {},
-              std::to_string(segments_) + " segments, " + std::to_string(delta_bytes_) +
-                  " delta bytes >= " + std::to_string(options_.compact_ratio) + "x base " +
-                  std::to_string(base_bytes_));
-        bytes = write_snapshot_base(options_.snapshot_path, collect_base_segment(),
-                                    write_options);
-        base_bytes_ = bytes;
-        delta_bytes_ = 0;
-        segments_ = 1;
-        have_base_ = true;
-      } else {
-        bytes = append_snapshot_delta(options_.snapshot_path, collect_delta_segment(),
-                                      write_options);
-        delta_bytes_ += bytes;
-        ++segments_;
-      }
-      mux_.mark_saved();
-      saved_watermark_ = mux_.size();
-      closed_since_save_.clear();
-      steps_since_snapshot_ = 0;
-      telemetry_.snapshots.inc();
-      telemetry_.checkpoint_bytes.inc(bytes);
-      telemetry_.journal().record(obs::EventType::kCheckpoint, {},
-                                  options_.snapshot_path.string());
-      clear_degraded();
-      out << checkpointed_frame(options_.snapshot_path.string(), table_.size(), totals.steps,
-                                base ? "base" : "delta", bytes, segments_)
-          << '\n';
+    begin_snapshot(totals);
+    submit_job();
+    const WriteJob done = finish_job();
+    if (!done.snapshot_error) {
+      land_snapshot(done, out);
       return;
+    }
+    // A failed save is loud but not fatal: the service keeps running on
+    // the previous good snapshot. A failed APPEND may have left a torn
+    // tail (the reader drops it), but appending after one would corrupt
+    // the chain — every retry rewrites a fresh base atomically.
+    have_base_ = false;
+    last_error = *done.snapshot_error;
+  }
+  steps_since_snapshot_ += std::exchange(unsaved_steps_, 0);
+  enter_degraded("snapshot save", last_error, out);
+}
+
+void Service::begin_snapshot(const core::MuxTotals& totals) {
+  // A fresh base when this process has not written one yet (slot ids are
+  // process-local, so appending to a previous process's chain would lie),
+  // after a failed write, or when the delta chain has outgrown the
+  // compaction threshold.
+  const bool compacting =
+      have_base_ && delta_bytes_ >= options_.compact_ratio * static_cast<double>(base_bytes_);
+  const bool base = !have_base_ || compacting;
+  if (compacting)
+    telemetry_.journal().record(
+        obs::EventType::kCompact, {},
+        std::to_string(segments_) + " segments, " + std::to_string(delta_bytes_) +
+            " delta bytes >= " + std::to_string(options_.compact_ratio) + "x base " +
+            std::to_string(base_bytes_));
+  job_.snapshot = true;
+  job_.base = base;
+  job_.segment =
+      encode_snapshot_segment(base ? collect_base_segment() : collect_delta_segment(), base);
+  const std::uint64_t bytes = job_.segment.size();
+  if (base) {
+    base_bytes_ = bytes;
+    delta_bytes_ = 0;
+    segments_ = 1;
+    have_base_ = true;
+  } else {
+    delta_bytes_ += bytes;
+    ++segments_;
+  }
+  mux_.mark_saved();
+  saved_watermark_ = mux_.size();
+  closed_since_save_.clear();
+  unsaved_steps_ += std::exchange(steps_since_snapshot_, 0);
+  job_.steps = totals.steps;
+  job_.tenants = table_.size();
+  job_.segments = segments_;
+}
+
+void Service::book_snapshot(std::uint64_t bytes) {
+  telemetry_.snapshots.inc();
+  telemetry_.checkpoint_bytes.inc(bytes);
+  telemetry_.journal().record(obs::EventType::kCheckpoint, {}, options_.snapshot_path.string());
+  clear_degraded();
+}
+
+void Service::land_snapshot(const WriteJob& job, std::ostream& out) {
+  unsaved_steps_ = 0;
+  const std::uint64_t bytes = job.segment.size();
+  if (!job.booked) book_snapshot(bytes);
+  out << checkpointed_frame(options_.snapshot_path.string(), job.tenants, job.steps,
+                            job.base ? "base" : "delta", bytes, job.segments)
+      << '\n';
+}
+
+void Service::begin_cut(const core::MuxTotals& totals) {
+  (void)telemetry_.metrics_cut(mux_, totals);
+  job_.metrics = true;
+  job_.cut = telemetry_.take_cut();
+  uncut_steps_ += std::exchange(steps_since_metrics_, 0);
+}
+
+void Service::submit_job() {
+  MOBSRV_CHECK_MSG(!job_in_flight_, "the writer's job slot is one deep");
+  job_in_flight_ = true;
+  job_done_.store(false, std::memory_order_relaxed);
+  writer_->submit([this] {
+    run_job(job_);
+    job_done_.store(true, std::memory_order_release);
+  });
+}
+
+Service::WriteJob Service::finish_job() {
+  writer_->wait_idle();
+  job_in_flight_ = false;
+  WriteJob done = std::exchange(job_, WriteJob{});
+  if (done.metrics) telemetry_.reuse_cut(std::move(done.cut));
+  return done;
+}
+
+void Service::run_job(WriteJob& job) const {
+  if (job.snapshot) {
+    SnapshotWriteOptions write_options;
+    write_options.durable = options_.durable;
+    write_options.faults = options_.faults;
+    try {
+      if (job.base)
+        write_encoded_base(options_.snapshot_path, job.segment, write_options);
+      else
+        append_encoded_delta(options_.snapshot_path, job.segment, write_options);
     } catch (const std::exception& error) {
-      // A failed save is loud but not fatal: the service keeps running on
-      // the previous good snapshot. A failed APPEND may have left a torn
-      // tail (the reader drops it), but appending after one would corrupt
-      // the chain — every retry rewrites a fresh base atomically.
-      have_base_ = false;
-      last_error = error.what();
+      job.snapshot_error = error.what();
     }
   }
-  enter_degraded("snapshot save", last_error, out);
+  if (job.metrics) {
+    trace::AtomicWriteOptions write_options;
+    write_options.durable = options_.durable;
+    write_options.faults = options_.faults;
+    write_options.write_site = fault::kSiteMetricsWrite;
+    try {
+      trace::write_bytes_atomic(options_.metrics_path, job.cut, write_options);
+    } catch (const std::exception& error) {
+      // The previous good file survives: write_bytes_atomic never clobbers it.
+      job.metrics_error = error.what();
+    }
+  }
+}
+
+void Service::settle_writes(std::ostream& out, bool wait) {
+  if (!job_in_flight_ || (!wait && !job_done_.load(std::memory_order_acquire))) return;
+  const WriteJob done = finish_job();
+  // A failed write goes through the retry ladder here, at this quiescent
+  // point and against the current state; the writer made its first attempt.
+  if (done.snapshot) {
+    if (!done.snapshot_error) {
+      land_snapshot(done, out);
+    } else {
+      have_base_ = false;
+      save_snapshot(out, mux_.totals(), 1, *done.snapshot_error);
+    }
+  }
+  if (done.metrics) {
+    if (!done.metrics_error) {
+      uncut_steps_ = 0;
+      clear_degraded();
+    } else {
+      write_metrics(out, mux_.totals(), 1, *done.metrics_error);
+    }
+  }
 }
 
 SnapshotSegment Service::collect_base_segment() const {
@@ -526,6 +655,7 @@ SnapshotSegment Service::collect_delta_segment() const {
 
 ExitReason Service::finish(ExitReason reason, std::ostream& out) {
   pump(out);
+  settle_writes(out, /*wait=*/true);
   const core::MuxTotals totals = mux_.totals();
   save_snapshot(out, totals);
   const char* why = reason == ExitReason::kEof        ? "eof"
@@ -538,27 +668,23 @@ ExitReason Service::finish(ExitReason reason, std::ostream& out) {
   return reason;
 }
 
-void Service::write_metrics(std::ostream& out, const core::MuxTotals& totals) {
+void Service::write_metrics(std::ostream& out, const core::MuxTotals& totals,
+                            std::size_t first_attempt, std::string last_error) {
   if (options_.metrics_path.empty()) return;
-  trace::AtomicWriteOptions write_options;
-  write_options.durable = options_.durable;
-  write_options.faults = options_.faults;
-  write_options.write_site = fault::kSiteMetricsWrite;
-  std::string last_error;
-  for (std::size_t attempt = 0; attempt <= options_.retry_limit; ++attempt) {
+  for (std::size_t attempt = first_attempt; attempt <= options_.retry_limit; ++attempt) {
     if (attempt != 0) retry_backoff("metrics snapshot", attempt, last_error);
-    try {
-      trace::write_bytes_atomic(options_.metrics_path, telemetry_.metrics_cut(mux_, totals),
-                                write_options);
-      steps_since_metrics_ = 0;
+    begin_cut(totals);
+    submit_job();
+    const WriteJob done = finish_job();
+    if (!done.metrics_error) {
+      uncut_steps_ = 0;
       clear_degraded();
       return;
-    } catch (const std::exception& error) {
-      // Same discipline as snapshot saves: loud but never fatal, and the
-      // previous good file survives (write_bytes_atomic never clobbers it).
-      last_error = error.what();
     }
+    // Same discipline as snapshot saves: loud but never fatal.
+    last_error = *done.metrics_error;
   }
+  steps_since_metrics_ += std::exchange(uncut_steps_, 0);
   telemetry_.journal().record(obs::EventType::kError, {},
                               "metrics snapshot failed: " + last_error);
   enter_degraded("metrics snapshot", last_error, out);

@@ -23,7 +23,11 @@
 ///     MSRVSS2 segment chain: a fresh base first, then incremental deltas
 ///     covering only the progress since the previous save, compacted when
 ///     the chain outgrows compact_ratio; a killed service restores from it
-///     and continues bit-identically, proven by the kill/restore tests.
+///     and continues bit-identically, proven by the kill/restore tests;
+///   * a background writer — with --snapshot or --metrics-out set, one
+///     writer thread does the file I/O of every save and metrics cut, so a
+///     periodic save boundary costs the pump only the work that reads the
+///     multiplexer (SERVICE.md §4).
 ///
 /// The loop is transport-agnostic: it speaks std::istream/std::ostream, so
 /// stdin/stdout, a TCP connection and a Unix socket all drive the same
@@ -34,6 +38,8 @@
 #include <atomic>
 #include <filesystem>
 #include <iosfwd>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -148,22 +154,69 @@ class Service {
   /// handle_req), never the whole table.
   void pump(std::ostream& out);
 
-  /// Saves a snapshot (no-op without a snapshot path). The first save of a
-  /// process writes a fresh MSRVSS2 base; later saves append a delta
-  /// carrying only the tenants opened/closed and the slots stepped since
-  /// the previous save (O(progress)), compacting back into a base when
-  /// the chain outgrows compact_ratio. Reports save failures as error
-  /// frames without killing the service. \p totals is mux_.totals() at
-  /// this quiescent point (the checkpointed frame's step count).
-  void save_snapshot(std::ostream& out, const core::MuxTotals& totals);
+  /// Saves a snapshot now and waits for it to land (no-op without a
+  /// snapshot path): explicit `checkpoint` frames, the graceful exit, and
+  /// the retries of a failed periodic write. The first save of a process
+  /// writes a fresh MSRVSS2 base; later saves append a delta carrying only
+  /// the tenants opened/closed and the slots stepped since the previous
+  /// save (O(progress)), compacting back into a base when the chain
+  /// outgrows compact_ratio. Attempts from \p first_attempt on (after
+  /// \p last_error) retry with backoff, then go degraded — loud error
+  /// frames, never fatal. \p totals is mux_.totals() at this quiescent
+  /// point (the checkpointed frame's step count). No write may be in
+  /// flight.
+  void save_snapshot(std::ostream& out, const core::MuxTotals& totals,
+                     std::size_t first_attempt = 0, std::string last_error = {});
   [[nodiscard]] SnapshotSegment collect_base_segment() const;
   [[nodiscard]] SnapshotSegment collect_delta_segment() const;
 
-  /// Writes the --metrics-out NDJSON snapshot (no-op without a metrics
-  /// path); \p totals is mux_.totals() at this quiescent point. Atomic
-  /// (tmp + rename); failures retry with backoff, then go degraded — loud
-  /// error frames + journal, never fatal.
-  void write_metrics(std::ostream& out, const core::MuxTotals& totals);
+  /// Writes the --metrics-out NDJSON snapshot now and waits for it to land
+  /// (no-op without a metrics path); \p totals is mux_.totals() at this
+  /// quiescent point. Atomic (tmp + rename); attempts retry like
+  /// save_snapshot's, then go degraded. No write may be in flight.
+  void write_metrics(std::ostream& out, const core::MuxTotals& totals,
+                     std::size_t first_attempt = 0, std::string last_error = {});
+
+  /// A batch of persistence writes for the background writer: a snapshot
+  /// segment, a metrics cut, or both, written in that order.
+  struct WriteJob {
+    bool snapshot = false;
+    bool base = false;        ///< `segment` starts a fresh chain, else it is appended
+    std::string segment;      ///< the encoded MSRVSS2 segment
+    bool booked = false;      ///< the save's telemetry was booked at hand-off
+    std::uint64_t steps = 0;  ///< checkpointed frame: totals.steps at hand-off
+    std::size_t tenants = 0;  ///< checkpointed frame: open tenants at hand-off
+    std::size_t segments = 0; ///< checkpointed frame: chain length with `segment`
+    bool metrics = false;
+    std::string cut;  ///< the metrics cut, moved out of the telemetry and back
+    /// Set by the writer when a write fails (its message); unset on success.
+    std::optional<std::string> snapshot_error;
+    std::optional<std::string> metrics_error;
+  };
+  /// Pump side of a save: collects and encodes the segment into job_ and
+  /// resets the save state (mark_saved, watermark, closed list) — the
+  /// writer owns the segment from here, and a write that fails forces the
+  /// next save to be a base.
+  void begin_snapshot(const core::MuxTotals& totals);
+  /// Pump side of a metrics cut: renders it and moves the buffer into job_.
+  void begin_cut(const core::MuxTotals& totals);
+  /// serve.snapshots_total, checkpoint bytes, the journal entry and the
+  /// degraded re-arm of one save.
+  void book_snapshot(std::uint64_t bytes);
+  /// A save that landed: books it (unless booked at hand-off) and emits
+  /// its checkpointed frame.
+  void land_snapshot(const WriteJob& job, std::ostream& out);
+  /// Hands job_ to the writer thread. The slot is one deep.
+  void submit_job();
+  /// Waits for the job in flight and takes it back (the cut buffer returns
+  /// to the telemetry).
+  WriteJob finish_job();
+  /// Writer thread: performs \p job's writes, recording failures in it.
+  void run_job(WriteJob& job) const;
+  /// Settles the job in flight — at once when \p wait, else only if it has
+  /// finished: emits its checkpointed frame, or runs the retry ladder of a
+  /// failed write at this quiescent point.
+  void settle_writes(std::ostream& out, bool wait);
 
   /// Closes tenants past the --idle-timeout deadline (see
   /// ServiceOptions::idle_timeout). Runs at the pump's quiescent point.
@@ -218,13 +271,29 @@ class Service {
   std::uint64_t base_bytes_ = 0;   ///< encoded size of the current base segment
   std::uint64_t delta_bytes_ = 0;  ///< summed encoded size of appended deltas
   std::size_t segments_ = 0;       ///< chain length (base + deltas)
-  /// mux_.size() at the last successful save. Slots are dense, never
+  /// mux_.size() at the last save handed to the writer. Slots are dense, never
   /// reused and admitted in order, so the open tenants at or past it are
   /// the ones opened since (the delta's `opened` list).
   std::size_t saved_watermark_ = 0;
   /// Slots below the watermark erased from the table since the last
-  /// successful save (the delta's `closed` list, unsorted).
+  /// save was handed to the writer (the delta's `closed` list, unsorted).
   std::vector<std::size_t> closed_since_save_;
+  /// Steps since the last landed save (cut) minus steps_since_snapshot_
+  /// (steps_since_metrics_): counted by writes not yet landed, and put
+  /// back if their retries run out, so the next pump tries again.
+  std::size_t unsaved_steps_ = 0;
+  std::size_t uncut_steps_ = 0;
+  /// No tenant can pass its --idle-timeout deadline before this input
+  /// line: last_activity only grows, so reap_idle skips its table walk
+  /// until then.
+  std::uint64_t next_reap_line_ = 0;
+  /// The background writer's one-deep job slot (see WriteJob).
+  WriteJob job_;
+  bool job_in_flight_ = false;
+  std::atomic<bool> job_done_{false};
+  /// One thread, started only with --snapshot or --metrics-out. Declared
+  /// last, so it is joined (its job finished) before job_ goes away.
+  std::unique_ptr<par::ThreadPool> writer_;
 };
 
 }  // namespace mobsrv::serve

@@ -197,8 +197,9 @@ SnapshotSegment decode_segment_payload(const std::string& payload, const std::st
   return segment;
 }
 
-/// Frames one segment: tag + size + crc + payload.
-std::string encode_segment(const SnapshotSegment& segment, bool base) {
+}  // namespace
+
+std::string encode_snapshot_segment(const SnapshotSegment& segment, bool base) {
   const std::string payload = encode_segment_payload(segment);
   std::string out;
   out.push_back(static_cast<char>(base ? kSegmentBase : kSegmentDelta));
@@ -207,6 +208,8 @@ std::string encode_segment(const SnapshotSegment& segment, bool base) {
   out += payload;
   return out;
 }
+
+namespace {
 
 /// Walks an MSRVSS2 chain, yielding each COMPLETE segment's (tag, payload,
 /// encoded size). A torn trailing segment (header or payload cut short by
@@ -371,25 +374,36 @@ void write_snapshot(const std::filesystem::path& path, const ServiceSnapshot& sn
 std::uint64_t write_snapshot_base(const std::filesystem::path& path,
                                   const SnapshotSegment& base,
                                   const SnapshotWriteOptions& options) {
-  const std::string segment = encode_segment(base, /*base=*/true);
-  std::string out;
-  out.reserve(kHeaderSize + segment.size());
-  out.append(kMagicV2, sizeof(kMagicV2));
-  put_u32(out, kSnapshotVersionV2);
-  out += segment;
+  const std::string segment = encode_snapshot_segment(base, /*base=*/true);
+  write_encoded_base(path, segment, options);
+  return segment.size();
+}
+
+void write_encoded_base(const std::filesystem::path& path, const std::string& segment,
+                        const SnapshotWriteOptions& options) {
+  std::string header;
+  header.reserve(kHeaderSize);
+  header.append(kMagicV2, sizeof(kMagicV2));
+  put_u32(header, kSnapshotVersionV2);
   trace::AtomicWriteOptions aw;
   aw.durable = options.durable;
   aw.faults = options.faults;
   aw.write_site = fault::kSiteSnapshotBaseWrite;
   aw.fsync_site = fault::kSiteSnapshotFsync;
   aw.rename_site = fault::kSiteSnapshotRename;
-  trace::write_bytes_atomic(path, out, aw);
-  return segment.size();
+  trace::write_bytes_atomic(path, {header, segment}, aw);
 }
 
 std::uint64_t append_snapshot_delta(const std::filesystem::path& path,
                                     const SnapshotSegment& delta,
                                     const SnapshotWriteOptions& options) {
+  const std::string segment = encode_snapshot_segment(delta, /*base=*/false);
+  append_encoded_delta(path, segment, options);
+  return segment.size();
+}
+
+void append_encoded_delta(const std::filesystem::path& path, const std::string& segment,
+                          const SnapshotWriteOptions& options) {
   {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw TraceError(path.string() + ": cannot append a delta (no base written?)");
@@ -398,7 +412,6 @@ std::uint64_t append_snapshot_delta(const std::filesystem::path& path,
     if (in.gcount() != sizeof(magic) || std::memcmp(magic, kMagicV2, sizeof(magic)) != 0)
       fail(path.string(), "cannot append a delta: not an MSRVSS2 snapshot chain");
   }
-  const std::string segment = encode_segment(delta, /*base=*/false);
   if (options.faults != nullptr) options.faults->hit(fault::kSiteSnapshotDeltaAppend);
   std::ofstream out(path, std::ios::binary | std::ios::app);
   if (!out) throw TraceError(path.string() + ": cannot open for append");
@@ -412,7 +425,6 @@ std::uint64_t append_snapshot_delta(const std::filesystem::path& path,
     if (options.faults != nullptr) options.faults->hit(fault::kSiteSnapshotFsync);
     trace::fsync_path(path);
   }
-  return segment.size();
 }
 
 ServiceSnapshot read_snapshot(const std::filesystem::path& path) {

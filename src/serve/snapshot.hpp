@@ -99,6 +99,11 @@ struct SnapshotWriteOptions {
 /// Throws TraceError on I/O failure.
 void write_snapshot(const std::filesystem::path& path, const ServiceSnapshot& snapshot);
 
+/// Encodes one framed MSRVSS2 segment (tag + size + crc + payload). Its
+/// size is the checkpoint-bytes meter. The service encodes on its frame
+/// thread and hands the bytes to its background writer.
+[[nodiscard]] std::string encode_snapshot_segment(const SnapshotSegment& segment, bool base);
+
 /// Starts a fresh MSRVSS2 chain at \p path: header + one base segment,
 /// written atomically (an existing file — either format — is replaced).
 /// Returns the encoded segment size in bytes (the checkpoint-bytes meter).
@@ -106,6 +111,10 @@ void write_snapshot(const std::filesystem::path& path, const ServiceSnapshot& sn
 std::uint64_t write_snapshot_base(const std::filesystem::path& path,
                                   const SnapshotSegment& base,
                                   const SnapshotWriteOptions& options = {});
+/// write_snapshot_base for a segment already encoded by
+/// encode_snapshot_segment(base, true).
+void write_encoded_base(const std::filesystem::path& path, const std::string& segment,
+                        const SnapshotWriteOptions& options = {});
 
 /// Appends one delta segment to an existing MSRVSS2 chain, flushes, and
 /// (options.durable) fsyncs the file. Returns the encoded segment size in
@@ -114,6 +123,10 @@ std::uint64_t write_snapshot_base(const std::filesystem::path& path,
 std::uint64_t append_snapshot_delta(const std::filesystem::path& path,
                                     const SnapshotSegment& delta,
                                     const SnapshotWriteOptions& options = {});
+/// append_snapshot_delta for a segment already encoded by
+/// encode_snapshot_segment(delta, false).
+void append_encoded_delta(const std::filesystem::path& path, const std::string& segment,
+                          const SnapshotWriteOptions& options = {});
 
 /// Reads a snapshot file of either format and returns the merged state.
 /// For MSRVSS2 the segment chain is replayed in order (base resets, deltas

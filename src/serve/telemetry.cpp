@@ -144,7 +144,12 @@ ServeTelemetry::ServeTelemetry(bool lean)
       degraded(registry_.gauge("serve.degraded", "bool",
                                "1 while persistence is degraded (saves failing), else 0")),
       ingest_latency(registry_.histogram("serve.ingest_latency_ns", "ns",
-                                         "req accepted -> outcome emitted wall time")) {}
+                                         "req accepted -> outcome emitted wall time")) {
+  if (!lean_)
+    save_stall = &registry_.histogram(
+        "serve.save_stall_ns", "ns",
+        "pump wall time per periodic save boundary, waits on the writer included");
+}
 
 TenantTelemetry& ServeTelemetry::tenant_row(std::size_t slot, const std::string& tenant) {
   if (slot >= rows_.size()) rows_.resize(slot + 1);

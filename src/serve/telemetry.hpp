@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session_multiplexer.hpp"
@@ -120,6 +121,10 @@ class ServeTelemetry {
   obs::Gauge& inflight_hwm;       ///< serve.inflight_hwm
   obs::Gauge& degraded;           ///< serve.degraded
   obs::Histogram& ingest_latency; ///< serve.ingest_latency_ns
+  /// serve.save_stall_ns: the pump's wall time per periodic save boundary.
+  /// Null under --lean, which reads no clocks (the metric is not
+  /// registered, so lean metrics dumps do not list it).
+  obs::Histogram* save_stall = nullptr;
 
   [[nodiscard]] obs::Journal& journal() noexcept { return journal_; }
   [[nodiscard]] const obs::Journal& journal() const noexcept { return journal_; }
@@ -165,6 +170,11 @@ class ServeTelemetry {
   /// reuses: it stays valid until the next cut.
   [[nodiscard]] const std::string& metrics_cut(const core::SessionMultiplexer& mux,
                                                const core::MuxTotals& totals);
+  /// Moves the latest cut's buffer out, so a background writer can own it
+  /// without a copy. Hand it back with reuse_cut() once it is written: the
+  /// next cut then reuses its capacity.
+  [[nodiscard]] std::string take_cut() noexcept { return std::move(cut_); }
+  void reuse_cut(std::string buffer) noexcept { cut_ = std::move(buffer); }
 };
 
 }  // namespace mobsrv::serve

@@ -324,6 +324,12 @@ void write_checkpoint(const std::filesystem::path& path,
 
 void write_bytes_atomic(const std::filesystem::path& path, const std::string& bytes,
                         const AtomicWriteOptions& options) {
+  write_bytes_atomic(path, {std::string_view(bytes)}, options);
+}
+
+void write_bytes_atomic(const std::filesystem::path& path,
+                        std::initializer_list<std::string_view> pieces,
+                        const AtomicWriteOptions& options) {
   std::filesystem::path tmp = path;
   tmp += ".tmp";
   {
@@ -331,7 +337,8 @@ void write_bytes_atomic(const std::filesystem::path& path, const std::string& by
       options.faults->hit(options.write_site);
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw TraceError(tmp.string() + ": cannot open for writing");
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    for (const std::string_view piece : pieces)
+      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
     out.flush();
     if (!out) {
       std::error_code ignored;

@@ -19,7 +19,9 @@
 #pragma once
 
 #include <filesystem>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/session_multiplexer.hpp"
@@ -84,6 +86,11 @@ void fsync_path(const std::filesystem::path& path, bool directory = false);
 /// writer are harmless: the next save truncates them, and they are never
 /// read.
 void write_bytes_atomic(const std::filesystem::path& path, const std::string& bytes,
+                        const AtomicWriteOptions& options = {});
+/// write_bytes_atomic of the concatenation of \p pieces, written without
+/// building it (a snapshot base is a 12-byte header + a large segment).
+void write_bytes_atomic(const std::filesystem::path& path,
+                        std::initializer_list<std::string_view> pieces,
                         const AtomicWriteOptions& options = {});
 
 /// Synonym for write_checkpoint, kept for the callers that spelled the

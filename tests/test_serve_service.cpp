@@ -19,6 +19,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "algorithms/registry.hpp"
@@ -1426,6 +1427,315 @@ TEST_F(ServeServiceTest, DisabledInjectorIsBitIdenticalToNoInjector) {
   const RunOutput with = run_lines(hooked, lines);
   EXPECT_EQ(outcomes_of(without, "alpha"), outcomes_of(with, "alpha"));
   EXPECT_EQ(injector.total_fired(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The background writer: saves and metrics cuts written off the pump.
+// ---------------------------------------------------------------------------
+
+/// Three tenants streaming 24 steps each against max_inflight = 1: every
+/// second req bounces and pumps, so periodic saves and cuts hand off
+/// mid-stream.
+std::vector<std::string> writer_workload() {
+  std::vector<std::string> lines;
+  const std::vector<std::string> names = {"a", "b", "c"};
+  for (std::size_t i = 0; i < names.size(); ++i)
+    lines.push_back(open_line(names[i], i == 1 ? "Lazy" : "MtC", 2, 1, i));
+  const auto batches = make_batches(31, 24, 2);
+  for (std::size_t t = 0; t < batches.size(); ++t)
+    for (const std::string& name : names) lines.push_back(req_line(name, batches[t]));
+  lines.push_back(R"({"type":"shutdown"})");
+  return lines;
+}
+
+ServiceOptions writer_options(const fs::path& dir) {
+  ServiceOptions options;
+  options.snapshot_path = dir / "writer.msrvss";
+  options.checkpoint_every = 3;
+  options.metrics_path = dir / "writer.ndjson";
+  options.metrics_every = 4;
+  options.max_inflight = 1;
+  options.lean = true;  // clock-free, so the metrics files can match byte for byte
+  options.durable = false;
+  options.retry_base_ms = 0;
+  options.threads = 2;
+  return options;
+}
+
+std::vector<std::string> dumps_of_type(const RunOutput& run, const std::string& type) {
+  std::vector<std::string> out;
+  for (const io::Json& frame : frames_of_type(run, type)) out.push_back(frame.dump());
+  return out;
+}
+
+/// \p text with every wall-clock member of a cut (meta.unix_ms, the
+/// events' ms) zeroed.
+std::string mask_wall_clock(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (std::size_t i = 0; i < text.size();) {
+    bool masked = false;
+    for (const std::string_view key : {std::string_view("\"unix_ms\":"), std::string_view("\"ms\":")}) {
+      if (text.compare(i, key.size(), key) != 0) continue;
+      out.append(key);
+      i += key.size();
+      while (i < text.size() && text[i] >= '0' && text[i] <= '9') ++i;
+      out.push_back('0');
+      masked = true;
+      break;
+    }
+    if (!masked) out.push_back(text[i++]);
+  }
+  return out;
+}
+
+TEST_F(ServeServiceTest, SlowWriterLeavesEveryOutputByteIdentical) {
+  const std::vector<std::string> lines = writer_workload();
+  // Both runs write the same paths (they appear in frames and the journal).
+  const ServiceOptions fast_options = writer_options(dir_);
+  Service fast(fast_options);
+  const RunOutput fast_run = run_lines(fast, lines);
+  const std::string fast_chain = read_text(fast_options.snapshot_path);
+  const std::string fast_metrics = read_text(fast_options.metrics_path);
+  fs::remove(fast_options.snapshot_path);
+  fs::remove(fast_options.metrics_path);
+
+  // ~20 ms on every metrics write and delta append: periodic jobs are still
+  // in flight when the pump comes round again.
+  fault::Injector injector(6);
+  for (const char* site : {fault::kSiteMetricsWrite, fault::kSiteSnapshotDeltaAppend}) {
+    fault::SiteRule rule;
+    rule.site = site;
+    rule.every = 1;
+    rule.delay_us = 20000;
+    rule.outcome = fault::Outcome::kDelay;
+    injector.add_rule(rule);
+  }
+  ServiceOptions slow_options = writer_options(dir_);
+  slow_options.faults = &injector;
+  Service slow(slow_options);
+  const RunOutput slow_run = run_lines(slow, lines);
+  ASSERT_EQ(slow_run.reason, ExitReason::kShutdown);
+  EXPECT_GT(injector.stats(fault::kSiteMetricsWrite).fired, 3u);
+  EXPECT_GT(injector.stats(fault::kSiteSnapshotDeltaAppend).fired, 3u);
+
+  EXPECT_EQ(dumps_of_type(slow_run, "outcome"), dumps_of_type(fast_run, "outcome"));
+  EXPECT_EQ(dumps_of_type(slow_run, "busy"), dumps_of_type(fast_run, "busy"));
+  EXPECT_TRUE(error_messages(slow_run).empty());
+  EXPECT_EQ(read_text(slow_options.snapshot_path), fast_chain);
+  EXPECT_EQ(mask_wall_clock(read_text(slow_options.metrics_path)), mask_wall_clock(fast_metrics));
+
+  // Only the position of the periodic checkpointed frames may move: the
+  // same frames, in save order.
+  const std::vector<io::Json> saves = frames_of_type(slow_run, "checkpointed");
+  EXPECT_EQ(dumps_of_type(slow_run, "checkpointed"), dumps_of_type(fast_run, "checkpointed"));
+  EXPECT_GT(saves.size(), 5u);
+  for (std::size_t i = 1; i < saves.size(); ++i)
+    EXPECT_LE(saves[i - 1].at("steps").as_uint64(), saves[i].at("steps").as_uint64());
+}
+
+TEST_F(ServeServiceTest, FailedPeriodicWriteRetriesAsAFreshBaseAtTheNextPump) {
+  const std::vector<std::string> lines = writer_workload();
+  const fs::path clean_dir = dir_ / "clean";
+  const fs::path fault_dir = dir_ / "fault";
+  fs::create_directories(clean_dir);
+  fs::create_directories(fault_dir);
+  ServiceOptions clean_options = writer_options(clean_dir);
+  clean_options.metrics_path.clear();
+  Service clean(clean_options);
+  const RunOutput clean_run = run_lines(clean, lines);
+
+  // The first delta append (the second periodic save) fails on the writer.
+  fault::Injector injector(7);
+  fault::SiteRule rule;
+  rule.site = fault::kSiteSnapshotDeltaAppend;
+  rule.nth = 1;
+  injector.add_rule(rule);
+  ServiceOptions options = writer_options(fault_dir);
+  options.metrics_path.clear();
+  options.faults = &injector;
+  Service service(options);
+  const RunOutput run = run_lines(service, lines);
+  ASSERT_EQ(run.reason, ExitReason::kShutdown);
+  EXPECT_EQ(injector.stats(fault::kSiteSnapshotDeltaAppend).fired, 1u);
+
+  // One retry, which rewrote a fresh base; no error frame, no degraded episode.
+  EXPECT_TRUE(error_messages(run).empty());
+  EXPECT_EQ(service.telemetry().retries.value(), 1u);
+  EXPECT_EQ(service.telemetry().degraded_total.value(), 0u);
+  EXPECT_EQ(journal_count(service, obs::EventType::kRetry), 1u);
+  const std::vector<io::Json> saves = frames_of_type(run, "checkpointed");
+  ASSERT_GE(saves.size(), 3u);
+  EXPECT_EQ(saves[0].at("mode").as_string(), "base");
+  EXPECT_EQ(saves[1].at("mode").as_string(), "base") << "the failed delta has no frame";
+  EXPECT_EQ(saves[1].at("segments").as_uint64(), 1u);
+  EXPECT_GT(saves[1].at("steps").as_uint64(), saves[0].at("steps").as_uint64());
+
+  // The retried chain restores to the same state as a chain that never failed.
+  EXPECT_EQ(dumps_of_type(run, "outcome"), dumps_of_type(clean_run, "outcome"));
+  EXPECT_EQ(serve::encode_snapshot(serve::read_snapshot(options.snapshot_path)),
+            serve::encode_snapshot(serve::read_snapshot(clean_options.snapshot_path)));
+}
+
+TEST_F(ServeServiceTest, KillWithAWriteInFlightResumesAtLeastTheLastCheckpoint) {
+  // Every delta append takes 100 ms, so the periodic save handed off just
+  // before the kill frame is still being written when the service stops.
+  fault::Injector injector(8);
+  fault::SiteRule rule;
+  rule.site = fault::kSiteSnapshotDeltaAppend;
+  rule.every = 1;
+  rule.delay_us = 100000;
+  rule.outcome = fault::Outcome::kDelay;
+  injector.add_rule(rule);
+  ServiceOptions options = writer_options(dir_);
+  options.checkpoint_every = 16;  // a base, then two slow deltas
+  options.metrics_path.clear();
+  options.faults = &injector;
+  std::vector<std::string> lines = writer_workload();
+  lines.back() = R"({"type":"kill"})";
+
+  std::uint64_t handed_off = 0;
+  std::vector<io::Json> saves;
+  std::size_t outcomes = 0;
+  {
+    Service service(options);
+    const RunOutput run = run_lines(service, lines);
+    ASSERT_EQ(run.reason, ExitReason::kKill);
+    handed_off = service.telemetry().snapshots.value();
+    saves = frames_of_type(run, "checkpointed");
+    outcomes = frames_of_type(run, "outcome").size();
+  }  // the writer finishes its job before the service goes away
+  ASSERT_FALSE(saves.empty());
+  EXPECT_GT(handed_off, saves.size()) << "no write was in flight at the kill";
+
+  Service resumed(options);
+  resumed.restore(options.snapshot_path);
+  const std::uint64_t steps = resumed.mux().totals().steps;
+  EXPECT_GE(steps, saves.back().at("steps").as_uint64());
+  EXPECT_LE(steps, outcomes);
+}
+
+TEST_F(ServeServiceTest, HandedOffDeltasCarryOnlySlotsSteppedSinceTheLastHandOff) {
+  // 40 tenants, one of them busy: the first periodic save is a base of all
+  // 40, every later one a delta of the busy tenant's record alone. The
+  // dirty set resets when a save is handed to the writer.
+  ServiceOptions options;
+  options.snapshot_path = dir_ / "handoff.msrvss";
+  options.checkpoint_every = 2;
+  options.max_inflight = 1;
+  options.durable = false;
+  Service service(options);
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < 40; ++i)
+    lines.push_back(open_line(std::string("t") + std::to_string(i), "Lazy", 1, 1, i));
+  const auto batches = make_batches(3, 16, 1);
+  for (const auto& batch : batches) lines.push_back(req_line("t0", batch));  // every 2nd bounces
+  lines.push_back(R"({"type":"shutdown"})");
+  const RunOutput run = run_lines(service, lines);
+  ASSERT_EQ(run.reason, ExitReason::kShutdown);
+
+  const std::vector<io::Json> saves = frames_of_type(run, "checkpointed");
+  ASSERT_GE(saves.size(), 4u);
+  EXPECT_EQ(saves[0].at("mode").as_string(), "base");
+  const std::uint64_t delta_bytes = saves[1].at("bytes").as_uint64();
+  EXPECT_LT(delta_bytes * 10, saves[0].at("bytes").as_uint64());
+  for (std::size_t i = 1; i + 1 < saves.size(); ++i) {
+    EXPECT_EQ(saves[i].at("mode").as_string(), "delta");
+    EXPECT_EQ(saves[i].at("bytes").as_uint64(), delta_bytes) << "save " << i;
+  }
+}
+
+TEST_F(ServeServiceTest, IdleReapsLandOnTheSameLinesAsAFullTableWalk) {
+  // Tenants open over time and are active now and then; every pump may
+  // reap. The expected reaps come from a model of the full table walk each
+  // pump used to make: a tenant whose last sign of life is kTimeout+ lines
+  // old is closed at the first pump that sees it so.
+  constexpr std::size_t kTenants = 120;
+  constexpr std::uint64_t kTimeout = 60;
+  const auto name = [](std::size_t t) { return std::string("t") + std::to_string(t); };
+  const std::string metrics = R"({"type":"metrics"})";     // pumps, no sign of life
+  const std::string stray = R"({"type":"stats","tenant":"nobody"})";  // neither
+  stats::Rng rng(41);
+  std::vector<std::string> lines;
+  std::size_t opened = 0;
+  const auto open_next = [&] { lines.push_back(open_line(name(opened), "Lazy", 1, 1, opened)); ++opened; };
+  // Quiet stretches of strays and metrics frames reap everyone, so the
+  // table runs empty and the next tenants open into it.
+  const auto quiet = [&] {
+    for (std::uint64_t i = 0; i < 2 * kTimeout; ++i) lines.push_back(i % 7 == 6 ? metrics : stray);
+  };
+  for (int phase = 0; phase < 2; ++phase) {
+    for (int i = 0; i < 1500; ++i) {
+      const std::int64_t roll = rng.uniform_int(0, 99);
+      if (opened < kTenants * (phase + 1) / 2 && (opened == 0 || roll < 6)) {
+        open_next();
+      } else if (roll < 9) {
+        lines.push_back(metrics);
+      } else {
+        // Skewed picks among the open ones: low ids stay busy, high ids
+        // mostly go quiet; a second req before the next pump bounces.
+        const auto hi = static_cast<std::int64_t>(opened) - 1;
+        const std::int64_t lo = rng.uniform_int(0, 9) < 7 ? std::max<std::int64_t>(0, hi - 10) : 0;
+        lines.push_back(req_line(name(static_cast<std::size_t>(rng.uniform_int(lo, hi))),
+                                 {Point{rng.uniform(-2.0, 2.0)}}));
+      }
+    }
+    quiet();
+  }
+
+  // The model, line by line. With max_inflight = 1 a second req before the
+  // next pump bounces, and the bounce pumps; EOF pumps once more.
+  std::vector<std::uint64_t> activity(kTenants, 0);
+  std::vector<bool> open(kTenants, false);
+  std::vector<bool> queued(kTenants, false);
+  std::vector<std::pair<std::string, std::uint64_t>> expected;
+  const auto pump = [&](std::uint64_t line) {
+    for (std::size_t t = 0; t < kTenants; ++t)
+      if (queued[t]) {
+        queued[t] = false;
+        activity[t] = line;  // the outcome counts as life
+      }
+    for (std::size_t t = 0; t < kTenants; ++t)
+      if (open[t] && line - activity[t] >= kTimeout) {
+        open[t] = false;
+        expected.emplace_back(name(t), line);
+      }
+  };
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::uint64_t line = i + 1;
+    const io::Json frame = io::Json::parse(lines[i]);
+    const std::string type = frame.at("type").as_string();
+    if (type == "metrics") {
+      pump(line);
+      continue;
+    }
+    if (type == "stats") continue;
+    const std::size_t t = std::stoul(frame.at("tenant").as_string().substr(1));
+    if (type == "open") {
+      open[t] = true;
+      activity[t] = line;
+    } else if (open[t]) {
+      activity[t] = line;
+      if (queued[t])
+        pump(line);
+      else
+        queued[t] = true;
+    }
+  }
+  pump(lines.size());
+
+  ServiceOptions options;
+  options.idle_timeout = kTimeout;
+  options.max_inflight = 1;
+  options.threads = 2;
+  Service service(options);
+  const RunOutput run = run_lines(service, lines);
+  std::vector<std::pair<std::string, std::uint64_t>> reaped;
+  for (const io::Json& frame : frames_of_type(run, "error"))
+    if (frame.at("message").as_string().find("idle timeout") != std::string::npos)
+      reaped.emplace_back(frame.at("tenant").as_string(), frame.at("line").as_uint64());
+  EXPECT_EQ(expected.size(), kTenants) << "every tenant goes quiet in the end";
+  EXPECT_EQ(reaped, expected);
 }
 
 }  // namespace
