@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <initializer_list>
 
+#include "io/bytes.hpp"
 #include "io/json.hpp"
 
 namespace mobsrv::fault {
@@ -118,10 +118,11 @@ FaultPlan parse_plan(const std::string& text, const std::string& origin) {
 }
 
 FaultPlan load_plan(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw PlanError(path.string() + ": cannot open fault plan (missing file?)");
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad()) throw PlanError(path.string() + ": read failed");
+  std::string text;
+  if (const io::ReadStatus status = io::read_file(path, text); status != io::ReadStatus::kOk)
+    throw PlanError(path.string() + (status == io::ReadStatus::kCannotOpen
+                                         ? ": cannot open fault plan (missing file?)"
+                                         : ": read failed"));
   return parse_plan(text, path.string());
 }
 

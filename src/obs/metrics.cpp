@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "common/contracts.hpp"
 
@@ -18,18 +19,51 @@ std::uint64_t Histogram::bucket_upper(std::size_t index) noexcept {
   return ((kSub + sub + 1) << (exp - kSubBits)) - 1;
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+void Histogram::widen(std::size_t first, std::size_t last) {
+  if (buckets_.empty()) {
+    lo_ = first;
+    buckets_.assign(last - first, 0);
+    return;
+  }
+  if (last > lo_ + buckets_.size()) buckets_.resize(last - lo_, 0);
+  if (first < lo_) {
+    buckets_.insert(buckets_.begin(), lo_ - first, 0);
+    lo_ = first;
+  }
+}
+
+std::uint64_t Histogram::bucket_count(std::size_t index) const {
+  if (index >= kBuckets) throw std::out_of_range("histogram bucket index out of range");
+  return stored(index);
+}
+
+void Histogram::merge(const Histogram& other) {
+  if (!other.buckets_.empty()) {
+    widen(other.lo_, other.lo_ + other.buckets_.size());
+    const std::size_t offset = other.lo_ - lo_;
+    for (std::size_t i = 0; i < other.buckets_.size(); ++i)
+      buckets_[offset + i] += other.buckets_[i];
+  }
   count_ += other.count_;
   sum_ += other.sum_;
   if (other.max_ > max_) max_ = other.max_;
 }
 
 void Histogram::reset() noexcept {
-  buckets_.fill(0);
+  buckets_.clear();
+  lo_ = 0;
   count_ = 0;
   sum_ = 0;
   max_ = 0;
+}
+
+bool operator==(const Histogram& a, const Histogram& b) noexcept {
+  if (a.count_ != b.count_ || a.sum_ != b.sum_ || a.max_ != b.max_) return false;
+  const std::size_t first = std::min(a.lo_, b.lo_);
+  const std::size_t last = std::max(a.lo_ + a.buckets_.size(), b.lo_ + b.buckets_.size());
+  for (std::size_t index = first; index < last; ++index)
+    if (a.stored(index) != b.stored(index)) return false;
+  return true;
 }
 
 std::uint64_t Histogram::percentile(double q) const noexcept {
@@ -40,9 +74,9 @@ std::uint64_t Histogram::percentile(double q) const noexcept {
                    : (scaled > static_cast<double>(count_) ? count_
                                                            : static_cast<std::uint64_t>(scaled));
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
     cumulative += buckets_[i];
-    if (cumulative >= rank) return std::min(bucket_upper(i), max_);
+    if (cumulative >= rank) return std::min(bucket_upper(lo_ + i), max_);
   }
   return max_;  // unreachable: cumulative reaches count_ >= rank
 }

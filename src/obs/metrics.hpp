@@ -1,13 +1,13 @@
 /// \file metrics.hpp
 /// The observability layer's metric primitives: counters, gauges and
-/// fixed-bucket log-scale histograms, plus the named Registry that owns
-/// them.
+/// log-scale histograms, plus the named Registry that owns them.
 ///
 /// Design constraints (DESIGN.md §7 determinism, docs/OBSERVABILITY.md):
-///   * recording is allocation-free — Counter/Gauge are single integers,
-///     Histogram is a fixed std::array of buckets, so the hot loops
+///   * recording is allocation-free once warm — Counter/Gauge are single
+///     integers, and a Histogram allocates only when a value lands outside
+///     the bucket range it already stores, so the hot loops
 ///     (Session::push, SessionMultiplexer rounds, serve::Service::pump)
-///     can record without touching the allocator;
+///     settle into recording without touching the allocator;
 ///   * everything here is OBSERVATIONAL — no timing value ever feeds an
 ///     algorithm decision, so results stay bit-identical whether telemetry
 ///     is on, off, or compiled out;
@@ -23,9 +23,13 @@
 /// max — so p100 is always the true maximum and small-value distributions
 /// are reported exactly. merge() is elementwise and therefore associative
 /// and commutative (covered by tests/test_obs.cpp).
+///
+/// A Histogram stores only its occupied bucket range [lo, lo + n): an
+/// empty one holds no buckets, and one whose samples span a few octaves
+/// holds a few dozen. The range widens on demand and never narrows until
+/// reset(); every result is that of the full 369-bucket array.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -56,10 +60,10 @@ struct HistogramSummary {
   std::uint64_t max = 0;
 };
 
-/// Fixed-bucket log-scale histogram over unsigned values (latency ns, step
-/// counts, ...). record() is branch-light, allocation-free and never
-/// throws; the whole object is a flat ~3 KB array, so copies are cheap
-/// enough for snapshot-time merges.
+/// Log-scale histogram over unsigned values (latency ns, step counts, ...).
+/// It costs 8 bytes per bucket between its lowest and highest sample, so a
+/// per-tenant histogram that never records costs nothing beyond the object.
+/// record() is branch-light and allocates only to widen the stored range.
 class Histogram {
  public:
   /// Linear sub-buckets per power-of-two octave (2^3 = 8).
@@ -89,25 +93,29 @@ class Histogram {
   /// the largest value bucket_index maps there.
   [[nodiscard]] static std::uint64_t bucket_upper(std::size_t index) noexcept;
 
-  void record(std::uint64_t value) noexcept {
-    ++buckets_[bucket_index(value)];
+  void record(std::uint64_t value) {
+    const std::size_t index = bucket_index(value);
+    // One unsigned compare: an index below lo_ wraps past the stored size.
+    if (index - lo_ >= buckets_.size()) widen(index, index + 1);
+    ++buckets_[index - lo_];
     ++count_;
     sum_ += value;
     if (value > max_) max_ = value;
   }
 
   /// Elementwise merge (associative + commutative).
-  void merge(const Histogram& other) noexcept;
+  void merge(const Histogram& other);
 
+  /// Empties the histogram; the bucket storage is kept for reuse.
   void reset() noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] std::uint64_t sum() const noexcept { return sum_; }
   [[nodiscard]] std::uint64_t max() const noexcept { return max_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t index) const {
-    return buckets_.at(index);
-  }
+  /// Samples in bucket \p index (< kBuckets, else std::out_of_range); 0
+  /// outside the stored range.
+  [[nodiscard]] std::uint64_t bucket_count(std::size_t index) const;
 
   /// Nearest-rank percentile (q in [0, 1]): the upper bound of the bucket
   /// holding the ceil(q * count)-th smallest value, clamped to the exact
@@ -118,10 +126,20 @@ class Histogram {
     return {count_, sum_, percentile(0.50), percentile(0.90), percentile(0.99), max_};
   }
 
-  friend bool operator==(const Histogram&, const Histogram&) = default;
+  /// Equal when every logical bucket and the count, sum and max agree,
+  /// however each side's stored range was widened.
+  friend bool operator==(const Histogram& a, const Histogram& b) noexcept;
 
  private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
+  /// Widens the stored range to cover bucket indices [first, last).
+  void widen(std::size_t first, std::size_t last);
+  /// Bucket \p index's count, 0 outside the stored range.
+  [[nodiscard]] std::uint64_t stored(std::size_t index) const noexcept {
+    return index - lo_ < buckets_.size() ? buckets_[index - lo_] : 0;
+  }
+
+  std::vector<std::uint64_t> buckets_;  ///< buckets_[i] counts bucket lo_ + i
+  std::size_t lo_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t max_ = 0;

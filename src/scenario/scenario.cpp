@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <functional>
-#include <iterator>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -14,6 +12,7 @@
 #include "adversary/moving_client_lb.hpp"
 #include "adversary/workloads.hpp"
 #include "common/contracts.hpp"
+#include "io/bytes.hpp"
 #include "stats/rng.hpp"
 #include "trace/importers.hpp"
 
@@ -790,9 +789,9 @@ Scenario parse(std::string_view text, const std::string& context) {
 }
 
 Scenario load(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw ScenarioError(path.string() + ": cannot open (missing file?)");
-  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::string text;
+  if (io::read_file(path, text) != io::ReadStatus::kOk)
+    throw ScenarioError(path.string() + ": cannot open (missing file?)");
   return parse(text, path.string());
 }
 

@@ -221,6 +221,15 @@ TenantSpec tenant_spec_from_json(const Json& doc) {
   return spec_from_members(doc, "tenant spec");
 }
 
+TenantSpec snapshot_spec_from_json(const Json& entry) {
+  if (!entry.is_object()) throw FrameError("tenant spec must be a JSON object");
+  reject_unknown_members(entry,
+                         {"tenant", "algorithm", "seed", "dim", "k", "speed", "policy", "D", "m",
+                          "order", "start", "starts", "rate", "burst", "slot"},
+                         "tenant spec", sniff_tenant(entry));
+  return spec_from_members(entry, "tenant spec");
+}
+
 ClientFrame parse_client_frame(std::string_view line) {
   Json doc;
   try {

@@ -69,6 +69,10 @@ struct TenantSpec {
 /// acknowledgement both use it). from_json throws FrameError.
 [[nodiscard]] io::Json tenant_spec_to_json(const TenantSpec& spec);
 [[nodiscard]] TenantSpec tenant_spec_from_json(const io::Json& doc);
+/// tenant_spec_from_json for a snapshot table entry, which also carries the
+/// writer's "slot" (the caller reads it): the same checks and errors,
+/// parsed where the entry sits.
+[[nodiscard]] TenantSpec snapshot_spec_from_json(const io::Json& entry);
 
 /// Client frame kinds.
 enum class FrameType {

@@ -1,6 +1,5 @@
 #include "serve/snapshot.hpp"
 
-#include <array>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -8,6 +7,7 @@
 #include <utility>
 
 #include "fault/injector.hpp"
+#include "io/bytes.hpp"
 
 static_assert(std::endian::native == std::endian::little,
               "the snapshot codec assumes a little-endian host");
@@ -44,28 +44,10 @@ void put_u64(std::string& out, std::uint64_t v) {
   out.append(buf, 8);
 }
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven — the segment
-/// integrity check. No zlib dependency: 1 KiB of table built on first use.
-std::uint32_t crc32(const std::string& bytes) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t n = 0; n < 256; ++n) {
-      std::uint32_t c = n;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[n] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char byte : bytes)
-    crc = table[(crc ^ static_cast<std::uint8_t>(byte)) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
-
 /// Length-prefixed section reader with loud truncation errors.
 class Reader {
  public:
-  Reader(const std::string& bytes, std::string origin)
+  Reader(std::string_view bytes, std::string origin)
       : bytes_(bytes), origin_(std::move(origin)) {}
 
   std::uint8_t u8(const char* what) {
@@ -86,7 +68,7 @@ class Reader {
     pos_ += 8;
     return v;
   }
-  std::string section(const char* what) {
+  std::string_view section(const char* what) {
     need(8, what);
     std::uint64_t n;
     std::memcpy(&n, bytes_.data() + pos_, 8);
@@ -94,14 +76,14 @@ class Reader {
     if (n > bytes_.size() - pos_)
       fail(origin_, std::string("truncated: ") + what + " declares " + std::to_string(n) +
                         " bytes but only " + std::to_string(bytes_.size() - pos_) + " remain");
-    std::string s = bytes_.substr(pos_, n);
+    const std::string_view s = bytes_.substr(pos_, n);
     pos_ += n;
     return s;
   }
   /// \p n raw bytes (caller already validated the size against remaining()).
-  std::string take(std::size_t n, const char* what) {
+  std::string_view take(std::size_t n, const char* what) {
     need(n, what);
-    std::string s = bytes_.substr(pos_, n);
+    const std::string_view s = bytes_.substr(pos_, n);
     pos_ += n;
     return s;
   }
@@ -116,7 +98,7 @@ class Reader {
       fail(origin_, std::string("truncated: unexpected end of file while reading ") + what);
   }
 
-  const std::string& bytes_;
+  std::string_view bytes_;
   std::string origin_;
   std::size_t pos_ = 0;
 };
@@ -155,22 +137,22 @@ std::string encode_segment_payload(const SnapshotSegment& segment) {
   return out;
 }
 
-SnapshotSegment decode_segment_payload(const std::string& payload, const std::string& origin) {
+SnapshotSegment decode_segment_payload(std::string_view payload, const std::string& origin) {
   Reader r(payload, origin);
   SnapshotSegment segment;
-  const std::string json = r.section("segment table");
+  const std::string_view json = r.section("segment table");
   try {
     const io::Json table = io::Json::parse(json);
     const io::Json* v = table.find("v");
     if (v == nullptr || v->as_uint64() != kSnapshotVersionV2)
       fail(origin, "segment table version disagrees with the file header");
-    for (const io::Json& entry : table.at("opened").as_array()) {
+    const io::Json::Array& opened = table.at("opened").as_array();
+    segment.opened.reserve(opened.size());
+    segment.opened_slots.reserve(opened.size());
+    for (const io::Json& entry : opened) {
       const io::Json* slot = entry.find("slot");
       if (slot == nullptr) fail(origin, "opened tenant without a slot id");
-      io::Json spec = entry;  // tenant_spec_from_json rejects unknown members
-      std::erase_if(spec.as_object(),
-                    [](const io::Json::Member& m) { return m.first == "slot"; });
-      segment.opened.push_back(tenant_spec_from_json(spec));
+      segment.opened.push_back(snapshot_spec_from_json(entry));
       segment.opened_slots.push_back(slot->as_uint64());
     }
     for (const io::Json& slot : table.at("closed").as_array())
@@ -186,7 +168,7 @@ SnapshotSegment decode_segment_payload(const std::string& payload, const std::st
   segment.record_slots.reserve(n_records);
   for (std::uint64_t i = 0; i < n_records; ++i)
     segment.record_slots.push_back(r.u64("record slot id"));
-  const std::string checkpoint = r.section("segment checkpoint");
+  const std::string_view checkpoint = r.section("segment checkpoint");
   if (r.u8("segment end tag") != kEndTag) fail(origin, "corrupt segment end tag");
   if (r.pos() != r.size()) fail(origin, "trailing data after segment end tag");
   segment.records = trace::decode_checkpoint(checkpoint, origin);
@@ -204,7 +186,7 @@ std::string encode_snapshot_segment(const SnapshotSegment& segment, bool base) {
   std::string out;
   out.push_back(static_cast<char>(base ? kSegmentBase : kSegmentDelta));
   put_u64(out, payload.size());
-  put_u32(out, crc32(payload));
+  put_u32(out, io::crc32(payload));
   out += payload;
   return out;
 }
@@ -225,19 +207,11 @@ void walk_segments(Reader& r, Visit&& visit) {
     const std::uint64_t size = r.u64("segment size");
     const std::uint32_t crc = r.u32("segment crc");
     if (size > r.remaining()) return;  // torn trailing payload
-    const std::string payload = r.take(size, "segment payload");
-    if (crc32(payload) != crc)
+    const std::string_view payload = r.take(size, "segment payload");
+    if (io::crc32(payload) != crc)
       fail(r.origin(), "segment CRC mismatch (corrupt snapshot chain)");
     visit(tag, payload, kSegmentHeaderSize + size);
   }
-}
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TraceError(path.string() + ": cannot open (missing file?)");
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad()) throw TraceError(path.string() + ": read failed");
-  return bytes;
 }
 
 bool has_magic(const std::string& bytes, const char (&magic)[8]) {
@@ -257,7 +231,7 @@ ServiceSnapshot merge_chain(const std::string& bytes, const std::string& origin)
   std::map<std::uint64_t, TenantSpec> specs;
   std::map<std::uint64_t, core::SessionCheckpointRecord> records;
   std::size_t index = 0;
-  walk_segments(r, [&](std::uint8_t tag, const std::string& payload, std::uint64_t) {
+  walk_segments(r, [&](std::uint8_t tag, std::string_view payload, std::uint64_t) {
     const std::string where = origin + " segment " + std::to_string(index++);
     if (index == 1 && tag != kSegmentBase)
       fail(origin, "chain does not start with a base segment");
@@ -265,7 +239,7 @@ ServiceSnapshot merge_chain(const std::string& bytes, const std::string& origin)
       specs.clear();
       records.clear();
     }
-    const SnapshotSegment segment = decode_segment_payload(payload, where);
+    SnapshotSegment segment = decode_segment_payload(payload, where);
     for (const std::uint64_t slot : segment.closed_slots) {
       if (specs.erase(slot) == 0)
         fail(where, "closes slot " + std::to_string(slot) + " which is not open");
@@ -273,7 +247,7 @@ ServiceSnapshot merge_chain(const std::string& bytes, const std::string& origin)
     }
     for (std::size_t i = 0; i < segment.opened.size(); ++i) {
       const std::uint64_t slot = segment.opened_slots[i];
-      if (!specs.emplace(slot, segment.opened[i]).second)
+      if (!specs.emplace(slot, std::move(segment.opened[i])).second)
         fail(where, "opens slot " + std::to_string(slot) + " twice");
     }
     for (std::size_t i = 0; i < segment.records.size(); ++i) {
@@ -284,19 +258,21 @@ ServiceSnapshot merge_chain(const std::string& bytes, const std::string& origin)
       if (spec->second.tenant != segment.records[i].tenant)
         fail(where, "slot " + std::to_string(slot) + " is \"" + spec->second.tenant +
                         "\" but the record is for \"" + segment.records[i].tenant + "\"");
-      records.insert_or_assign(slot, segment.records[i]);
+      records.insert_or_assign(slot, std::move(segment.records[i]));
     }
   });
   if (index == 0) fail(origin, "snapshot chain holds no complete segment");
 
   ServiceSnapshot snapshot;
-  for (const auto& [slot, spec] : specs) {
+  snapshot.tenants.reserve(specs.size());
+  snapshot.records.reserve(specs.size());
+  for (auto& [slot, spec] : specs) {
     const auto record = records.find(slot);
     if (record == records.end())
       fail(origin, "open tenant \"" + spec.tenant + "\" (slot " + std::to_string(slot) +
                        ") has no checkpoint record in the chain");
-    snapshot.tenants.push_back(spec);
-    snapshot.records.push_back(record->second);
+    snapshot.tenants.push_back(std::move(spec));
+    snapshot.records.push_back(std::move(record->second));
   }
   return snapshot;
 }
@@ -335,8 +311,8 @@ ServiceSnapshot decode_snapshot(const std::string& bytes, const std::string& ori
     fail(origin, "unsupported snapshot format version " + std::to_string(version) +
                      " (this build reads version " + std::to_string(kSnapshotVersion) + ")");
 
-  const std::string json = r.section("tenant table");
-  const std::string checkpoint = r.section("checkpoint section");
+  const std::string_view json = r.section("tenant table");
+  const std::string_view checkpoint = r.section("checkpoint section");
   if (r.u8("end tag") != kEndTag) fail(origin, "corrupt end tag");
   if (r.pos() != r.size()) fail(origin, "trailing data after end tag");
 
@@ -428,7 +404,7 @@ void append_encoded_delta(const std::filesystem::path& path, const std::string& 
 }
 
 ServiceSnapshot read_snapshot(const std::filesystem::path& path) {
-  return read_snapshot_bytes(read_file(path), path.string());
+  return read_snapshot_bytes(trace::read_bytes(path), path.string());
 }
 
 ServiceSnapshot read_snapshot_bytes(const std::string& bytes, const std::string& origin) {
@@ -437,7 +413,7 @@ ServiceSnapshot read_snapshot_bytes(const std::string& bytes, const std::string&
 }
 
 SnapshotFileInfo inspect_snapshot(const std::filesystem::path& path) {
-  const std::string bytes = read_file(path);
+  const std::string bytes = trace::read_bytes(path);
   SnapshotFileInfo info;
   if (!has_magic(bytes, kMagicV2)) {
     // v1 (or garbage — decode_snapshot is the loud check): one monolithic
@@ -451,7 +427,7 @@ SnapshotFileInfo inspect_snapshot(const std::filesystem::path& path) {
   Reader r(bytes, path.string());
   for (std::size_t i = 0; i < sizeof(kMagicV2); ++i) (void)r.u8("magic");
   info.version = r.u32("version");
-  walk_segments(r, [&](std::uint8_t tag, const std::string&, std::uint64_t size) {
+  walk_segments(r, [&](std::uint8_t tag, std::string_view, std::uint64_t size) {
     ++info.segments;
     if (tag == kSegmentBase && info.segments == 1) {
       info.base_bytes = size;

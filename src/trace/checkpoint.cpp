@@ -96,7 +96,7 @@ void encode_record(std::string& payload, const core::SessionCheckpointRecord& re
 /// decoded so truncation errors are actionable.
 class Reader {
  public:
-  Reader(const std::string& bytes, std::string origin)
+  Reader(std::string_view bytes, std::string origin)
       : bytes_(bytes), origin_(std::move(origin)) {}
 
   void set_context(const char* what) { context_ = what; }
@@ -134,7 +134,7 @@ class Reader {
     if (n > bytes_.size() - pos_)
       fail(origin_, std::string("corrupt ") + context_ + ": implausible string length " +
                         std::to_string(n));
-    std::string s = bytes_.substr(pos_, n);
+    std::string s(bytes_.substr(pos_, n));
     pos_ += n;
     return s;
   }
@@ -171,7 +171,7 @@ class Reader {
                         std::to_string(bytes_.size()) + ")");
   }
 
-  const std::string& bytes_;
+  std::string_view bytes_;
   std::string origin_;
   const char* context_ = "header";
   std::size_t pos_ = 0;
@@ -245,7 +245,7 @@ std::string encode_checkpoint(const std::vector<core::SessionCheckpointRecord>& 
   return out;
 }
 
-std::vector<core::SessionCheckpointRecord> decode_checkpoint(const std::string& bytes,
+std::vector<core::SessionCheckpointRecord> decode_checkpoint(std::string_view bytes,
                                                              const std::string& origin) {
   Reader r(bytes, origin);
   r.set_context("magic");
@@ -391,11 +391,7 @@ void write_checkpoint_atomic(const std::filesystem::path& path,
 }
 
 std::vector<core::SessionCheckpointRecord> read_checkpoint(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TraceError(path.string() + ": cannot open (missing file?)");
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad()) throw TraceError(path.string() + ": read failed");
-  return decode_checkpoint(bytes, path.string());
+  return decode_checkpoint(read_bytes(path), path.string());
 }
 
 }  // namespace mobsrv::trace

@@ -43,7 +43,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 [[nodiscard]] std::string encode_checkpoint(
     const std::vector<core::SessionCheckpointRecord>& records);
 [[nodiscard]] std::vector<core::SessionCheckpointRecord> decode_checkpoint(
-    const std::string& bytes, const std::string& origin);
+    std::string_view bytes, const std::string& origin);
 
 /// Serialises \p records to \p path. Atomic (temp file + rename) since
 /// PR 10: the historical plain-ofstream path could leave a half-written

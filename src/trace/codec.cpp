@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "io/bytes.hpp"
 #include "io/json.hpp"
 
 static_assert(std::endian::native == std::endian::little,
@@ -728,12 +729,17 @@ void write_trace(const std::filesystem::path& path, const TraceFile& file) {
   write_trace(path, file, codec_for_path(path));
 }
 
+std::string read_bytes(const std::filesystem::path& path) {
+  std::string bytes;
+  if (const io::ReadStatus status = io::read_file(path, bytes); status != io::ReadStatus::kOk)
+    throw TraceError(path.string() + (status == io::ReadStatus::kCannotOpen
+                                          ? ": cannot open (missing file?)"
+                                          : ": read failed"));
+  return bytes;
+}
+
 TraceFile read_trace(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TraceError(path.string() + ": cannot open (missing file?)");
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad()) throw TraceError(path.string() + ": read failed");
-  return decode_trace(bytes, path.string());
+  return decode_trace(read_bytes(path), path.string());
 }
 
 }  // namespace mobsrv::trace

@@ -56,6 +56,10 @@ void write_trace(const std::filesystem::path& path, const TraceFile& file);
 /// TraceError on missing/corrupt/truncated input or version mismatch.
 [[nodiscard]] TraceFile read_trace(const std::filesystem::path& path);
 
+/// The whole of \p path (io::read_file). Throws TraceError if it cannot be
+/// opened or read; the trace, checkpoint and snapshot readers share it.
+[[nodiscard]] std::string read_bytes(const std::filesystem::path& path);
+
 /// In-memory encode/decode (the file functions are thin wrappers; these
 /// exist for tests and for streaming over other transports).
 [[nodiscard]] std::string encode_trace(const TraceFile& file, Codec codec);

@@ -1,15 +1,72 @@
 // Unit tests for io/: table rendering (markdown + CSV), number formatting,
-// and flag parsing used by every bench and example binary.
+// flag parsing used by every bench and example binary, and the byte
+// helpers (whole-file loads, CRC-32).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "io/args.hpp"
+#include "io/bytes.hpp"
 #include "io/table.hpp"
+#include "stats/rng.hpp"
 
 namespace mobsrv::io {
 namespace {
+
+/// The byte-at-a-time CRC-32 the segment framing was specified with.
+std::uint32_t crc32_bytewise(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char byte : bytes) {
+    crc ^= static_cast<std::uint8_t>(byte);
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..67 cover zero, one and several 8-byte words with every
+  // tail length; offsets 0..7 cover every alignment of the word loads.
+  stats::Rng rng(20240917);
+  std::string buffer(8 + 67, '\0');
+  for (char& byte : buffer) byte = static_cast<char>(rng.uniform_int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 67; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      EXPECT_EQ(crc32(bytes), crc32_bytewise(bytes)) << "offset " << offset << " length " << length;
+    }
+}
+
+TEST(ReadFile, LoadsWholeFileAndNamesFailures) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mobsrv_io_read_" + std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  std::filesystem::create_directories(dir);
+  std::string content = "binary\0bytes\n";
+  for (int i = 0; i < 5000; ++i) content += static_cast<char>(i * 7);
+  {
+    std::ofstream out(dir / "data.bin", std::ios::binary);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  }
+  std::string bytes = "stale";
+  EXPECT_EQ(read_file(dir / "data.bin", bytes), ReadStatus::kOk);
+  EXPECT_EQ(bytes, content);
+  { std::ofstream empty(dir / "empty.bin", std::ios::binary); }
+  EXPECT_EQ(read_file(dir / "empty.bin", bytes), ReadStatus::kOk);
+  EXPECT_TRUE(bytes.empty());
+  EXPECT_EQ(read_file(dir / "missing.bin", bytes), ReadStatus::kCannotOpen);
+  EXPECT_EQ(read_file(dir, bytes), ReadStatus::kReadFailed);  // a directory has no byte size
+  std::filesystem::remove_all(dir);
+}
 
 TEST(FormatDouble, SignificantDigitsAndSpecials) {
   EXPECT_EQ(format_double(3.14159265, 4), "3.142");

@@ -1,16 +1,23 @@
 // Tests for the obs layer: histogram bucket boundaries, nearest-rank
 // percentile exactness on known distributions, merge associativity, the
-// overflow bucket, counter/gauge semantics, registry registration rules,
-// and the bounded event journal.
+// overflow bucket, the occupied-range storage against a dense reference,
+// counter/gauge semantics, registry registration rules, and the bounded
+// event journal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "serve/telemetry.hpp"
+#include "stats/rng.hpp"
 
 namespace mobsrv {
 namespace {
@@ -138,6 +145,187 @@ TEST(Histogram, ResetAndEmptyBehaviour) {
   EXPECT_TRUE(h.empty());
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0u);
+}
+
+/// The dense 369-bucket histogram the occupied-range storage must agree
+/// with: every bucket stored, percentiles by a walk over all of them.
+struct DenseHistogram {
+  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t max = 0;
+
+  void record(std::uint64_t value) {
+    ++buckets[Histogram::bucket_index(value)];
+    ++count;
+    sum += value;
+    max = std::max(max, value);
+  }
+  void merge(const DenseHistogram& other) {
+    for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
+    count += other.count;
+    sum += other.sum;
+    max = std::max(max, other.max);
+  }
+  [[nodiscard]] std::uint64_t percentile(double q) const {
+    if (count == 0) return 0;
+    const double scaled = std::ceil(q * static_cast<double>(count));
+    const std::uint64_t rank =
+        scaled < 1.0 ? 1
+                     : (scaled > static_cast<double>(count) ? count
+                                                            : static_cast<std::uint64_t>(scaled));
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      cumulative += buckets[i];
+      if (cumulative >= rank) return std::min(Histogram::bucket_upper(i), max);
+    }
+    return max;
+  }
+};
+
+void expect_matches(const Histogram& h, const DenseHistogram& ref) {
+  ASSERT_EQ(h.count(), ref.count);
+  EXPECT_EQ(h.sum(), ref.sum);
+  EXPECT_EQ(h.max(), ref.max);
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i)
+    ASSERT_EQ(h.bucket_count(i), ref.buckets[i]) << "bucket " << i;
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
+    EXPECT_EQ(h.percentile(q), ref.percentile(q)) << "q " << q;
+  const HistogramSummary s = h.summary();
+  EXPECT_EQ(s.count, ref.count);
+  EXPECT_EQ(s.sum, ref.sum);
+  EXPECT_EQ(s.p50, ref.percentile(0.50));
+  EXPECT_EQ(s.p90, ref.percentile(0.90));
+  EXPECT_EQ(s.p99, ref.percentile(0.99));
+  EXPECT_EQ(s.max, ref.max);
+}
+
+/// Seeded values that touch every kind of bucket: the exact unit buckets
+/// 0..7, both sides of every octave edge, log-uniform values in between,
+/// and values at or above 2^48 (the overflow bucket).
+std::vector<std::uint64_t> edge_values(std::uint64_t seed) {
+  std::vector<std::uint64_t> values;
+  for (std::uint64_t v = 0; v < 8; ++v) values.push_back(v);
+  for (int exp = 3; exp <= 63; ++exp) {
+    const std::uint64_t edge = std::uint64_t{1} << exp;
+    values.insert(values.end(), {edge - 1, edge, edge + 1});
+  }
+  values.push_back(std::numeric_limits<std::uint64_t>::max());
+  stats::Rng rng(seed);
+  for (int i = 0; i < 400; ++i) {
+    const int exp = static_cast<int>(rng.uniform_int(0, 50));
+    values.push_back(rng() >> (63 - exp));  // below 2^(exp+1)
+  }
+  return values;
+}
+
+/// Values whose buckets all lie in [bucket_index(lo), bucket_index(hi)].
+std::vector<std::uint64_t> values_between(std::uint64_t lo, std::uint64_t hi, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < 200; ++i)
+    values.push_back(static_cast<std::uint64_t>(
+        rng.uniform_int(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi))));
+  return values;
+}
+
+TEST(HistogramDifferential, EveryInsertionOrderMatchesTheDenseReference) {
+  std::vector<std::uint64_t> values = edge_values(7);
+  DenseHistogram ref;
+  for (const std::uint64_t v : values) ref.record(v);
+
+  std::sort(values.begin(), values.end());
+  Histogram ascending;
+  for (const std::uint64_t v : values) ascending.record(v);
+  Histogram descending;
+  for (auto it = values.rbegin(); it != values.rend(); ++it) descending.record(*it);
+  stats::Rng rng(11);
+  std::shuffle(values.begin(), values.end(), rng);
+  Histogram shuffled;
+  for (const std::uint64_t v : values) shuffled.record(v);
+
+  expect_matches(ascending, ref);
+  expect_matches(descending, ref);
+  expect_matches(shuffled, ref);
+  // Same content, stored ranges widened in different orders: still equal.
+  EXPECT_EQ(ascending, descending);
+  EXPECT_EQ(ascending, shuffled);
+  Histogram other = shuffled;
+  other.record(5);
+  EXPECT_FALSE(other == shuffled);
+}
+
+TEST(HistogramDifferential, MergesOfDisjointOverlappingAndEmptyRanges) {
+  const std::vector<std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>> cases = {
+      {values_between(0, 40, 1), values_between(1'000'000, 9'000'000, 2)},     // disjoint, a low
+      {values_between(1'000'000, 9'000'000, 3), values_between(0, 40, 4)},     // disjoint, a high
+      {values_between(100, 50'000, 5), values_between(10'000, 900'000, 6)},    // overlapping
+      {values_between(100, 50'000, 7), values_between(200, 300, 8)},           // b inside a
+      {edge_values(9), {}},                                                   // b empty
+      {{}, edge_values(10)},                                                  // a empty
+      {{}, {}},                                                               // both empty
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    Histogram a;
+    Histogram b;
+    DenseHistogram ref;
+    for (const std::uint64_t v : cases[c].first) {
+      a.record(v);
+      ref.record(v);
+    }
+    for (const std::uint64_t v : cases[c].second) b.record(v);
+    DenseHistogram ref_b;
+    for (const std::uint64_t v : cases[c].second) ref_b.record(v);
+    ref.merge(ref_b);
+
+    Histogram ab = a;
+    ab.merge(b);
+    Histogram ba = b;
+    ba.merge(a);
+    expect_matches(ab, ref);
+    expect_matches(ba, ref);
+    EXPECT_EQ(ab, ba);
+  }
+}
+
+TEST(HistogramDifferential, ResetThenReuseForgetsTheOldRange) {
+  Histogram h;
+  for (const std::uint64_t v : edge_values(12)) h.record(v);
+  h.reset();
+  expect_matches(h, DenseHistogram{});
+  EXPECT_EQ(h, Histogram{});
+
+  DenseHistogram ref;
+  for (const std::uint64_t v : values_between(5'000, 6'000, 13)) {
+    h.record(v);
+    ref.record(v);
+  }
+  expect_matches(h, ref);
+}
+
+TEST(HistogramDifferential, BucketCountOutsideTheStoredRangeIsZero) {
+  Histogram h;
+  EXPECT_EQ(h.bucket_count(0), 0u);
+  EXPECT_EQ(h.bucket_count(Histogram::kBuckets - 1), 0u);
+  for (const std::uint64_t v : values_between(1'000, 2'000, 14)) h.record(v);
+  const std::size_t lo = Histogram::bucket_index(1'000);
+  const std::size_t hi = Histogram::bucket_index(2'000);
+  EXPECT_EQ(h.bucket_count(lo - 1), 0u);
+  EXPECT_EQ(h.bucket_count(hi + 1), 0u);
+  EXPECT_EQ(h.bucket_count(0), 0u);
+  EXPECT_EQ(h.bucket_count(Histogram::kBuckets - 1), 0u);
+  std::uint64_t stored = 0;
+  for (std::size_t i = lo; i <= hi; ++i) stored += h.bucket_count(i);
+  EXPECT_EQ(stored, h.count());
+  EXPECT_THROW((void)h.bucket_count(Histogram::kBuckets), std::out_of_range);
+}
+
+TEST(HistogramDifferential, EmptyTenantRowStaysSmall) {
+  // A per-tenant row with no samples holds no buckets: an inline bucket
+  // array (369 x 8 bytes) would blow this bound tenfold.
+  EXPECT_LE(sizeof(serve::TenantTelemetry), 256u);
+  EXPECT_LE(sizeof(Histogram), 64u);
 }
 
 TEST(CounterGauge, Semantics) {

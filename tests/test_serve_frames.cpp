@@ -254,6 +254,31 @@ TEST(ServeFrames, TenantSpecRoundTripsThroughJson) {
   EXPECT_EQ(back.starts, spec.starts);
 }
 
+TEST(ServeFrames, SnapshotEntryAllowsItsSlotAndRejectsEverythingElse) {
+  TenantSpec spec;
+  spec.tenant = "snap";
+  spec.algorithm = "MtC";
+  spec.dim = 2;
+  spec.starts = {geo::Point{0.5, -1.0}};
+  io::Json entry = serve::tenant_spec_to_json(spec);
+  entry.set("slot", std::uint64_t{7});
+  const TenantSpec back = serve::snapshot_spec_from_json(entry);
+  EXPECT_EQ(back.tenant, spec.tenant);
+  EXPECT_EQ(back.starts, spec.starts);
+  // "slot" belongs to the snapshot table only; an `opened` spec rejects it.
+  EXPECT_THROW((void)serve::tenant_spec_from_json(entry), FrameError);
+
+  entry.set("bogus", std::uint64_t{1});
+  try {
+    (void)serve::snapshot_spec_from_json(entry);
+    ADD_FAILURE() << "unknown member accepted";
+  } catch (const FrameError& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown member \"bogus\""), std::string::npos)
+        << error.what();
+    EXPECT_EQ(error.tenant(), "snap");
+  }
+}
+
 TEST(ServeFrames, RateLimitsParseValidateAndRoundTrip) {
   const ClientFrame frame = parse(
       R"({"type":"open","v":1,"tenant":"t","algorithm":"MtC","dim":1,"rate":2.5,"burst":8})");

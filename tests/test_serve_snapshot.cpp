@@ -212,6 +212,39 @@ TEST_F(ServeSnapshotTest, TornTrailingSegmentIsDroppedBadCrcIsLoud) {
                trace::TraceError);
 }
 
+TEST_F(ServeSnapshotTest, FlipInThePayloadsSubWordTailFailsTheCrc) {
+  // The CRC folds 8-byte words and finishes the last payload_size % 8
+  // bytes one at a time; a flip there must fail as loudly as one in a word.
+  // Tenant names of 1..4 characters change the payload size by 2 bytes
+  // each, so at least one of them leaves a tail.
+  for (std::size_t name_length = 1; name_length <= 4; ++name_length) {
+    Harness h;
+    h.open(std::string(name_length, 'n'), 3);
+    h.mux.drain();
+    const std::string segment = serve::encode_snapshot_segment(h.base_segment(), /*base=*/true);
+    const std::size_t payload_size = segment.size() - 13;  // u8 tag + u64 size + u32 crc
+    const std::size_t tail = payload_size % 8;
+    if (tail == 0) continue;
+    const fs::path path = dir_ / "tail.msrvss";
+    serve::write_snapshot_base(path, h.base_segment());
+    const std::string bytes = trace::read_bytes(path);
+    ASSERT_EQ(bytes.size(), 12 + segment.size());  // magic + u32 version, then the segment
+    for (std::size_t at = bytes.size() - tail; at < bytes.size(); ++at) {
+      std::string corrupt = bytes;
+      corrupt[at] ^= 0x01;
+      try {
+        (void)serve::read_snapshot_bytes(corrupt, "tail");
+        ADD_FAILURE() << "flip at byte " << at << " was not detected";
+      } catch (const trace::TraceError& error) {
+        EXPECT_NE(std::string(error.what()).find("CRC mismatch"), std::string::npos)
+            << error.what();
+      }
+    }
+    return;
+  }
+  FAIL() << "no tenant name length left a sub-word payload tail";
+}
+
 TEST_F(ServeSnapshotTest, MonolithicV1FilesStillReadable) {
   Harness h;
   h.open("legacy", 7);

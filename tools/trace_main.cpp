@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/mobsrv.hpp"
+#include "io/bytes.hpp"
 #include "io/cli.hpp"
 #include "serve/snapshot.hpp"
 #include "stats/rng.hpp"
@@ -411,10 +412,9 @@ int cmd_chaos(const io::Args& args) {
   const std::uint64_t seed = args.get_uint64("seed", 0);
   const bool quiet = args.get_bool("quiet", false);
 
-  std::ifstream file(in, std::ios::binary);
-  if (!file) throw ContractViolation("cannot open --in file: " + in.string());
-  const std::string bytes((std::istreambuf_iterator<char>(file)),
-                          std::istreambuf_iterator<char>());
+  std::string bytes;
+  if (io::read_file(in, bytes) != io::ReadStatus::kOk)
+    throw ContractViolation("cannot open --in file: " + in.string());
 
   static constexpr char kMagic[] = {'M', 'S', 'R', 'V', 'S', 'S', '2', '\n'};
   constexpr std::size_t kHeader = sizeof(kMagic) + 4;  // magic + u32 version
