@@ -1,12 +1,7 @@
 #include "io/bytes.hpp"
 
 #include <array>
-#include <bit>
-#include <cstring>
 #include <fstream>
-
-static_assert(std::endian::native == std::endian::little,
-              "crc32 folds little-endian words");
 
 namespace mobsrv::io {
 

@@ -1,7 +1,5 @@
 #include "serve/snapshot.hpp"
 
-#include <bit>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <utility>
@@ -9,99 +7,33 @@
 #include "fault/injector.hpp"
 #include "io/bytes.hpp"
 
-static_assert(std::endian::native == std::endian::little,
-              "the snapshot codec assumes a little-endian host");
-
 namespace mobsrv::serve {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'M', 'S', 'R', 'V', 'S', 'S', '1', '\n'};
-constexpr char kMagicV2[8] = {'M', 'S', 'R', 'V', 'S', 'S', '2', '\n'};
+constexpr std::string_view kMagicV1 = "MSRVSS1\n";
+constexpr std::string_view kMagicV2 = "MSRVSS2\n";
 constexpr std::uint8_t kEndTag = 0xFF;
 constexpr std::uint8_t kSegmentBase = 1;
 constexpr std::uint8_t kSegmentDelta = 2;
 /// magic + u32 version.
-constexpr std::size_t kHeaderSize = sizeof(kMagicV2) + 4;
+constexpr std::size_t kHeaderSize = kMagicV2.size() + 4;
 /// u8 tag + u64 payload size + u32 crc.
 constexpr std::size_t kSegmentHeaderSize = 1 + 8 + 4;
 
+using io::put_u32, io::put_u64;
+using trace::fail;
 using trace::TraceError;
 
-[[noreturn]] void fail(const std::string& origin, const std::string& message) {
-  throw TraceError(origin + ": " + message);
+/// A u64 length, then that many bytes.
+std::string_view section(io::ByteReader& r, const char* what) {
+  r.set_context(what);
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining())
+    fail(r.origin(), std::string("truncated: ") + what + " declares " + std::to_string(n) +
+                         " bytes but only " + std::to_string(r.remaining()) + " remain");
+  return r.take(n);
 }
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-/// Length-prefixed section reader with loud truncation errors.
-class Reader {
- public:
-  Reader(std::string_view bytes, std::string origin)
-      : bytes_(bytes), origin_(std::move(origin)) {}
-
-  std::uint8_t u8(const char* what) {
-    need(1, what);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  std::uint32_t u32(const char* what) {
-    need(4, what);
-    std::uint32_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 4);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  std::string_view section(const char* what) {
-    need(8, what);
-    std::uint64_t n;
-    std::memcpy(&n, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    if (n > bytes_.size() - pos_)
-      fail(origin_, std::string("truncated: ") + what + " declares " + std::to_string(n) +
-                        " bytes but only " + std::to_string(bytes_.size() - pos_) + " remain");
-    const std::string_view s = bytes_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  /// \p n raw bytes (caller already validated the size against remaining()).
-  std::string_view take(std::size_t n, const char* what) {
-    need(n, what);
-    const std::string_view s = bytes_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-  [[nodiscard]] const std::string& origin() const noexcept { return origin_; }
-
- private:
-  void need(std::size_t n, const char* what) {
-    if (pos_ + n > bytes_.size())
-      fail(origin_, std::string("truncated: unexpected end of file while reading ") + what);
-  }
-
-  std::string_view bytes_;
-  std::string origin_;
-  std::size_t pos_ = 0;
-};
 
 /// Segment payload codec, shared by base and delta (a base is "everything
 /// changed"): JSON table changes, the records' slot ids, the checkpoint
@@ -138,9 +70,9 @@ std::string encode_segment_payload(const SnapshotSegment& segment) {
 }
 
 SnapshotSegment decode_segment_payload(std::string_view payload, const std::string& origin) {
-  Reader r(payload, origin);
+  io::ByteReader r(payload, origin, fail);
   SnapshotSegment segment;
-  const std::string_view json = r.section("segment table");
+  const std::string_view json = section(r, "segment table");
   try {
     const io::Json table = io::Json::parse(json);
     const io::Json* v = table.find("v");
@@ -162,15 +94,14 @@ SnapshotSegment decode_segment_payload(std::string_view payload, const std::stri
   } catch (const std::exception& error) {
     fail(origin, std::string("corrupt segment table: ") + error.what());
   }
-  const std::uint64_t n_records = r.u64("record slot count");
-  if (n_records > r.remaining() / 8)
-    fail(origin, "truncated: record slot list longer than the segment");
+  r.set_context("segment record slots");
+  const std::uint64_t n_records = r.count("record slot", 8);
   segment.record_slots.reserve(n_records);
-  for (std::uint64_t i = 0; i < n_records; ++i)
-    segment.record_slots.push_back(r.u64("record slot id"));
-  const std::string_view checkpoint = r.section("segment checkpoint");
-  if (r.u8("segment end tag") != kEndTag) fail(origin, "corrupt segment end tag");
-  if (r.pos() != r.size()) fail(origin, "trailing data after segment end tag");
+  for (std::uint64_t i = 0; i < n_records; ++i) segment.record_slots.push_back(r.u64());
+  const std::string_view checkpoint = section(r, "segment checkpoint");
+  r.set_context("segment end tag");
+  if (r.u8() != kEndTag) fail(origin, "corrupt segment end tag");
+  if (r.remaining() != 0) fail(origin, "trailing data after segment end tag");
   segment.records = trace::decode_checkpoint(checkpoint, origin);
   if (segment.records.size() != segment.record_slots.size())
     fail(origin, "segment lists " + std::to_string(segment.record_slots.size()) +
@@ -198,31 +129,28 @@ namespace {
 /// a crash mid-append) ends the walk silently; a bad CRC on a complete
 /// segment fails loudly.
 template <typename Visit>
-void walk_segments(Reader& r, Visit&& visit) {
+void walk_segments(io::ByteReader& r, Visit&& visit) {
   while (r.remaining() > 0) {
     if (r.remaining() < kSegmentHeaderSize) return;  // torn trailing header
-    const std::uint8_t tag = r.u8("segment tag");
+    const std::uint8_t tag = r.u8();
     if (tag != kSegmentBase && tag != kSegmentDelta)
       fail(r.origin(), "unknown segment tag " + std::to_string(tag));
-    const std::uint64_t size = r.u64("segment size");
-    const std::uint32_t crc = r.u32("segment crc");
+    const std::uint64_t size = r.u64();
+    const std::uint32_t crc = r.u32();
     if (size > r.remaining()) return;  // torn trailing payload
-    const std::string_view payload = r.take(size, "segment payload");
+    const std::string_view payload = r.take(size);
     if (io::crc32(payload) != crc)
       fail(r.origin(), "segment CRC mismatch (corrupt snapshot chain)");
     visit(tag, payload, kSegmentHeaderSize + size);
   }
 }
 
-bool has_magic(const std::string& bytes, const char (&magic)[8]) {
-  return bytes.size() >= sizeof(magic) && std::memcmp(bytes.data(), magic, sizeof(magic)) == 0;
-}
-
 /// Replays an MSRVSS2 chain into the merged tenant/record state.
 ServiceSnapshot merge_chain(const std::string& bytes, const std::string& origin) {
-  Reader r(bytes, origin);
-  for (std::size_t i = 0; i < sizeof(kMagicV2); ++i) (void)r.u8("magic");
-  const std::uint32_t version = r.u32("version");
+  io::ByteReader r(bytes, origin, fail);
+  r.take(kMagicV2.size());
+  r.set_context("version");
+  const std::uint32_t version = r.u32();
   if (version != kSnapshotVersionV2)
     fail(origin, "unsupported snapshot format version " + std::to_string(version) +
                      " (this build reads versions 1 and " +
@@ -291,7 +219,7 @@ std::string encode_snapshot(const ServiceSnapshot& snapshot) {
   const std::string checkpoint = trace::encode_checkpoint(snapshot.records);
 
   std::string out;
-  out.append(kMagicV1, sizeof(kMagicV1));
+  out.append(kMagicV1);
   put_u32(out, kSnapshotVersion);
   put_u64(out, json.size());
   out += json;
@@ -302,19 +230,21 @@ std::string encode_snapshot(const ServiceSnapshot& snapshot) {
 }
 
 ServiceSnapshot decode_snapshot(const std::string& bytes, const std::string& origin) {
-  Reader r(bytes, origin);
-  if (!has_magic(bytes, kMagicV1))
+  if (!bytes.starts_with(kMagicV1))
     fail(origin, "not a mobsrv_serve snapshot file (bad magic)");
-  for (std::size_t i = 0; i < sizeof(kMagicV1); ++i) (void)r.u8("magic");
-  const std::uint32_t version = r.u32("version");
+  io::ByteReader r(bytes, origin, fail);
+  r.take(kMagicV1.size());
+  r.set_context("version");
+  const std::uint32_t version = r.u32();
   if (version != kSnapshotVersion)
     fail(origin, "unsupported snapshot format version " + std::to_string(version) +
                      " (this build reads version " + std::to_string(kSnapshotVersion) + ")");
 
-  const std::string_view json = r.section("tenant table");
-  const std::string_view checkpoint = r.section("checkpoint section");
-  if (r.u8("end tag") != kEndTag) fail(origin, "corrupt end tag");
-  if (r.pos() != r.size()) fail(origin, "trailing data after end tag");
+  const std::string_view json = section(r, "tenant table");
+  const std::string_view checkpoint = section(r, "checkpoint section");
+  r.set_context("end tag");
+  if (r.u8() != kEndTag) fail(origin, "corrupt end tag");
+  if (r.remaining() != 0) fail(origin, "trailing data after end tag");
 
   ServiceSnapshot snapshot;
   try {
@@ -359,7 +289,7 @@ void write_encoded_base(const std::filesystem::path& path, const std::string& se
                         const SnapshotWriteOptions& options) {
   std::string header;
   header.reserve(kHeaderSize);
-  header.append(kMagicV2, sizeof(kMagicV2));
+  header.append(kMagicV2);
   put_u32(header, kSnapshotVersionV2);
   trace::AtomicWriteOptions aw;
   aw.durable = options.durable;
@@ -383,9 +313,9 @@ void append_encoded_delta(const std::filesystem::path& path, const std::string& 
   {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw TraceError(path.string() + ": cannot append a delta (no base written?)");
-    char magic[sizeof(kMagicV2)] = {};
+    char magic[kMagicV2.size()] = {};
     in.read(magic, sizeof(magic));
-    if (in.gcount() != sizeof(magic) || std::memcmp(magic, kMagicV2, sizeof(magic)) != 0)
+    if (in.gcount() != sizeof(magic) || std::string_view(magic, sizeof(magic)) != kMagicV2)
       fail(path.string(), "cannot append a delta: not an MSRVSS2 snapshot chain");
   }
   if (options.faults != nullptr) options.faults->hit(fault::kSiteSnapshotDeltaAppend);
@@ -408,14 +338,14 @@ ServiceSnapshot read_snapshot(const std::filesystem::path& path) {
 }
 
 ServiceSnapshot read_snapshot_bytes(const std::string& bytes, const std::string& origin) {
-  if (has_magic(bytes, kMagicV2)) return merge_chain(bytes, origin);
+  if (bytes.starts_with(kMagicV2)) return merge_chain(bytes, origin);
   return decode_snapshot(bytes, origin);
 }
 
 SnapshotFileInfo inspect_snapshot(const std::filesystem::path& path) {
   const std::string bytes = trace::read_bytes(path);
   SnapshotFileInfo info;
-  if (!has_magic(bytes, kMagicV2)) {
+  if (!bytes.starts_with(kMagicV2)) {
     // v1 (or garbage — decode_snapshot is the loud check): one monolithic
     // "segment" spanning the whole file.
     (void)decode_snapshot(bytes, path.string());
@@ -424,9 +354,10 @@ SnapshotFileInfo inspect_snapshot(const std::filesystem::path& path) {
     info.base_bytes = bytes.size();
     return info;
   }
-  Reader r(bytes, path.string());
-  for (std::size_t i = 0; i < sizeof(kMagicV2); ++i) (void)r.u8("magic");
-  info.version = r.u32("version");
+  io::ByteReader r(bytes, path.string(), fail);
+  r.take(kMagicV2.size());
+  r.set_context("version");
+  info.version = r.u32();
   walk_segments(r, [&](std::uint8_t tag, std::string_view, std::uint64_t size) {
     ++info.segments;
     if (tag == kSegmentBase && info.segments == 1) {

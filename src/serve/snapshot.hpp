@@ -15,7 +15,7 @@
 ///   checkpoint codec bytes, length-prefixed, end tag. Written by
 ///   write_snapshot via trace::write_bytes_atomic; every save re-serialises
 ///   every session (O(sessions)).
-/// * **MSRVSS2** (v2, this PR): an append-only segment chain. The file is
+/// * **MSRVSS2** (v2): an append-only segment chain. The file is
 ///   "MSRVSS2\n" + u32 version, then segments, each framed as
 ///   `u8 tag (1=base, 2=delta) | u64 payload_size | u32 crc32 | payload`.
 ///   A BASE segment carries the whole state (every open tenant + record);

@@ -1,7 +1,5 @@
 #include "trace/checkpoint.hpp"
 
-#include <bit>
-#include <cstring>
 #include <fstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -10,49 +8,20 @@
 #endif
 
 #include "fault/injector.hpp"
-
-static_assert(std::endian::native == std::endian::little,
-              "the checkpoint codec assumes a little-endian host");
+#include "io/bytes.hpp"
 
 namespace mobsrv::trace {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'S', 'C', 'K', 'P', 'T', '1', '\n'};
+constexpr std::string_view kMagic = "MSCKPT1\n";
 
 enum RecordTag : std::uint8_t {
   kRecordSession = 1,
   kRecordEnd = 0xFF,
 };
 
-[[noreturn]] void fail(const std::string& origin, const std::string& message) {
-  throw TraceError(origin + ": " + message);
-}
-
-void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void put_f64(std::string& out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
+using io::put_f64, io::put_str, io::put_u32, io::put_u64, io::put_u8;
 
 void put_point(std::string& out, const sim::Point& p) {
   put_u8(out, static_cast<std::uint8_t>(p.dim()));
@@ -92,92 +61,25 @@ void encode_record(std::string& payload, const core::SessionCheckpointRecord& re
   put_points(payload, state.points);
 }
 
-/// Bounds-checked cursor over the payload; every read names the field being
-/// decoded so truncation errors are actionable.
-class Reader {
- public:
-  Reader(std::string_view bytes, std::string origin)
-      : bytes_(bytes), origin_(std::move(origin)) {}
+sim::Point read_point(io::ByteReader& r) {
+  const int dim = r.u8();
+  if (dim < 1 || dim > sim::Point::kMaxDim)
+    fail(r.origin(), "corrupt session record: point dimension " + std::to_string(dim) +
+                         " out of range [1, " + std::to_string(sim::Point::kMaxDim) + "]");
+  sim::Point p(dim);
+  for (int i = 0; i < dim; ++i) p[i] = r.f64();
+  return p;
+}
 
-  void set_context(const char* what) { context_ = what; }
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-  [[nodiscard]] const std::string& origin() const noexcept { return origin_; }
+std::vector<sim::Point> read_points(io::ByteReader& r) {
+  const std::uint64_t n = r.count("point", 9);
+  std::vector<sim::Point> out;
+  out.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(read_point(r));
+  return out;
+}
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 4);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  double f64() {
-    need(8);
-    double v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > bytes_.size() - pos_)
-      fail(origin_, std::string("corrupt ") + context_ + ": implausible string length " +
-                        std::to_string(n));
-    std::string s(bytes_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-  sim::Point point() {
-    const int dim = u8();
-    if (dim < 1 || dim > sim::Point::kMaxDim)
-      fail(origin_, std::string("corrupt ") + context_ + ": point dimension " +
-                        std::to_string(dim) + " out of range [1, " +
-                        std::to_string(sim::Point::kMaxDim) + "]");
-    sim::Point p(dim);
-    for (int i = 0; i < dim; ++i) p[i] = f64();
-    return p;
-  }
-  std::uint64_t count(const char* what, std::size_t bytes_per_item) {
-    const std::uint64_t n = u64();
-    if (n > bytes_.size() / bytes_per_item + 1)
-      fail(origin_, std::string("corrupt ") + context_ + ": implausible " + what + " count " +
-                        std::to_string(n));
-    return n;
-  }
-  std::vector<sim::Point> points() {
-    const std::uint64_t n = count("point", 9);
-    std::vector<sim::Point> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(point());
-    return out;
-  }
-
- private:
-  void need(std::size_t n) {
-    if (pos_ + n > bytes_.size())
-      fail(origin_, std::string("truncated: unexpected end of file while reading ") + context_ +
-                        " (at byte " + std::to_string(pos_) + " of " +
-                        std::to_string(bytes_.size()) + ")");
-  }
-
-  std::string_view bytes_;
-  std::string origin_;
-  const char* context_ = "header";
-  std::size_t pos_ = 0;
-};
-
-core::SessionCheckpointRecord decode_record(Reader& r) {
+core::SessionCheckpointRecord decode_record(io::ByteReader& r) {
   core::SessionCheckpointRecord record;
   record.tenant = r.str();
   record.algorithm = r.str();
@@ -198,7 +100,7 @@ core::SessionCheckpointRecord decode_record(Reader& r) {
   engine.step = r.u64();
   engine.move_cost = r.f64();
   engine.service_cost = r.f64();
-  engine.servers = r.points();
+  engine.servers = read_points(r);
   const std::uint64_t splits = r.count("move-split", 8);
   engine.server_move.reserve(splits);
   for (std::uint64_t i = 0; i < splits; ++i) engine.server_move.push_back(r.f64());
@@ -210,7 +112,7 @@ core::SessionCheckpointRecord decode_record(Reader& r) {
   const std::uint64_t reals = r.count("state real", 8);
   state.reals.reserve(reals);
   for (std::uint64_t i = 0; i < reals; ++i) state.reals.push_back(r.f64());
-  state.points = r.points();
+  state.points = read_points(r);
 
   if (engine.servers.empty())
     fail(r.origin(), "corrupt session record: no server positions");
@@ -228,7 +130,7 @@ core::SessionCheckpointRecord decode_record(Reader& r) {
 
 std::string encode_checkpoint(const std::vector<core::SessionCheckpointRecord>& records) {
   std::string out;
-  out.append(kMagic, sizeof(kMagic));
+  out.append(kMagic);
   put_u32(out, kCheckpointVersion);
   put_u64(out, records.size());
 
@@ -247,11 +149,9 @@ std::string encode_checkpoint(const std::vector<core::SessionCheckpointRecord>& 
 
 std::vector<core::SessionCheckpointRecord> decode_checkpoint(std::string_view bytes,
                                                              const std::string& origin) {
-  Reader r(bytes, origin);
-  r.set_context("magic");
-  if (bytes.size() < sizeof(kMagic) || std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    fail(origin, "not a mobsrv checkpoint file (bad magic)");
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) (void)r.u8();
+  if (!bytes.starts_with(kMagic)) fail(origin, "not a mobsrv checkpoint file (bad magic)");
+  io::ByteReader r(bytes, origin, fail);
+  r.take(kMagic.size());
   r.set_context("version");
   const std::uint32_t version = r.u32();
   if (version != kCheckpointVersion)
@@ -269,10 +169,10 @@ std::vector<core::SessionCheckpointRecord> decode_checkpoint(std::string_view by
     r.set_context("record header");
     const std::uint8_t tag = r.u8();
     const std::uint64_t size = r.u64();
-    if (size > r.size() - r.pos())
+    if (size > r.remaining())
       fail(origin, "truncated: record (tag " + std::to_string(tag) + ") declares " +
                        std::to_string(size) + " bytes but only " +
-                       std::to_string(r.size() - r.pos()) + " remain");
+                       std::to_string(r.remaining()) + " remain");
     const std::size_t record_start = r.pos();
     switch (tag) {
       case kRecordSession:
@@ -291,7 +191,7 @@ std::vector<core::SessionCheckpointRecord> decode_checkpoint(std::string_view by
       fail(origin, "corrupt session record: payload declares " + std::to_string(size) +
                        " bytes, decoder consumed " + std::to_string(r.pos() - record_start));
   }
-  if (r.pos() != r.size()) fail(origin, "trailing data after end record");
+  if (r.remaining() != 0) fail(origin, "trailing data after end record");
   if (records.size() != expected)
     fail(origin, "corrupt file: header announces " + std::to_string(expected) +
                      " sessions, found " + std::to_string(records.size()));
@@ -383,11 +283,6 @@ void write_bytes_atomic(const std::filesystem::path& path,
                                              : std::filesystem::path(".");
     fsync_path(parent, /*directory=*/true);
   }
-}
-
-void write_checkpoint_atomic(const std::filesystem::path& path,
-                             const std::vector<core::SessionCheckpointRecord>& records) {
-  write_bytes_atomic(path, encode_checkpoint(records));
 }
 
 std::vector<core::SessionCheckpointRecord> read_checkpoint(const std::filesystem::path& path) {

@@ -93,11 +93,6 @@ void write_bytes_atomic(const std::filesystem::path& path,
                         std::initializer_list<std::string_view> pieces,
                         const AtomicWriteOptions& options = {});
 
-/// Synonym for write_checkpoint, kept for the callers that spelled the
-/// atomicity out; both run the same temp-file + rename path.
-void write_checkpoint_atomic(const std::filesystem::path& path,
-                             const std::vector<core::SessionCheckpointRecord>& records);
-
 /// Reads a checkpoint file. Throws TraceError on missing/corrupt/truncated
 /// input or version mismatch.
 [[nodiscard]] std::vector<core::SessionCheckpointRecord> read_checkpoint(

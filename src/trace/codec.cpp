@@ -1,20 +1,15 @@
 #include "trace/codec.hpp"
 
-#include <bit>
-#include <cstring>
 #include <fstream>
 
 #include "io/bytes.hpp"
 #include "io/json.hpp"
 
-static_assert(std::endian::native == std::endian::little,
-              "the binary trace codec assumes a little-endian host");
-
 namespace mobsrv::trace {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'S', 'T', 'R', 'C', 'B', '1', '\n'};
+constexpr std::string_view kMagic = "MSTRCB1\n";
 
 enum SectionTag : std::uint8_t {
   kSectionMeta = 1,
@@ -24,10 +19,6 @@ enum SectionTag : std::uint8_t {
   kSectionRun = 5,
   kSectionEnd = 0xFF,
 };
-
-[[noreturn]] void fail(const std::string& origin, const std::string& message) {
-  throw TraceError(origin + ": " + message);
-}
 
 // ---------------------------------------------------------------------------
 // JSONL codec.
@@ -297,30 +288,7 @@ TraceFile decode_jsonl(const std::string& bytes, const std::string& origin) {
 // Binary codec: length-prefixed little-endian sections.
 // ---------------------------------------------------------------------------
 
-void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void put_f64(std::string& out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.append(buf, 8);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
+using io::put_f64, io::put_str, io::put_u32, io::put_u64, io::put_u8;
 
 void put_point(std::string& out, const sim::Point& p) {
   for (int i = 0; i < p.dim(); ++i) put_f64(out, p[i]);
@@ -344,7 +312,7 @@ void put_section(std::string& out, std::uint8_t tag, const std::string& payload)
 
 std::string encode_binary(const TraceFile& file) {
   std::string out;
-  out.append(kMagic, sizeof(kMagic));
+  out.append(kMagic);
   put_u32(out, kFormatVersion);
 
   std::string payload;
@@ -415,87 +383,24 @@ std::string encode_binary(const TraceFile& file) {
   return out;
 }
 
-/// Bounds-checked cursor over the binary payload; every read names the
-/// section being decoded so truncation errors are actionable.
-class BinReader {
- public:
-  BinReader(const std::string& bytes, std::string origin)
-      : bytes_(bytes), origin_(std::move(origin)) {}
+sim::Point read_point(io::ByteReader& r, int dim) {
+  sim::Point p(dim);
+  for (int i = 0; i < dim; ++i) p[i] = r.f64();
+  return p;
+}
 
-  void set_context(const char* what) { context_ = what; }
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
+std::vector<sim::Point> read_points(io::ByteReader& r, int dim) {
+  const std::uint64_t n = r.count("point", 8 * static_cast<std::size_t>(dim));
+  std::vector<sim::Point> out;
+  out.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(read_point(r, dim));
+  return out;
+}
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 4);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  double f64() {
-    need(8);
-    double v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s = bytes_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-  sim::Point point(int dim) {
-    sim::Point p(dim);
-    for (int i = 0; i < dim; ++i) p[i] = f64();
-    return p;
-  }
-  std::vector<sim::Point> points(int dim) {
-    const std::uint64_t n = u64();
-    // Guard against a corrupt count asking for more points than the file
-    // could possibly hold (8 bytes per coordinate).
-    if (n > bytes_.size() / (8 * static_cast<std::uint64_t>(dim)) + 1)
-      fail(origin_, std::string("corrupt ") + context_ + ": implausible point count " +
-                        std::to_string(n));
-    std::vector<sim::Point> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(point(dim));
-    return out;
-  }
-
- private:
-  void need(std::size_t n) {
-    if (pos_ + n > bytes_.size())
-      fail(origin_, std::string("truncated: unexpected end of file while reading ") + context_ +
-                        " (at byte " + std::to_string(pos_) + " of " +
-                        std::to_string(bytes_.size()) + ")");
-  }
-
-  const std::string& bytes_;
-  std::string origin_;
-  const char* context_ = "header";
-  std::size_t pos_ = 0;
-};
-
-TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
-  BinReader r(bytes, origin);
-  r.set_context("magic");
-  if (bytes.size() < sizeof(kMagic) || std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    fail(origin, "not a mobsrv binary trace file (bad magic)");
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) (void)r.u8();
+TraceFile decode_binary(std::string_view bytes, const std::string& origin) {
+  if (!bytes.starts_with(kMagic)) fail(origin, "not a mobsrv binary trace file (bad magic)");
+  io::ByteReader r(bytes, origin, fail);
+  r.take(kMagic.size());
   r.set_context("version");
   const std::uint32_t version = r.u32();
   if (version != kFormatVersion)
@@ -513,10 +418,10 @@ TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
     const std::uint64_t size = r.u64();
     // The declared size feeds every downstream plausibility guard, so it
     // must itself be bounded by what the file actually holds.
-    if (size > r.size() - r.pos())
+    if (size > r.remaining())
       fail(origin, "truncated: section (tag " + std::to_string(tag) + ") declares " +
                        std::to_string(size) + " bytes but only " +
-                       std::to_string(r.size() - r.pos()) + " remain");
+                       std::to_string(r.remaining()) + " remain");
     const std::size_t section_start = r.pos();
     switch (tag) {
       case kSectionMeta: {
@@ -540,10 +445,8 @@ TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
                                    : sim::ServiceOrder::kServeThenMove;
         params.move_cost_weight = r.f64();
         params.max_step = r.f64();
-        const sim::Point start = r.point(dim);
-        const std::uint64_t horizon = r.u64();
-        if (horizon > size / 4 + 1)
-          fail(origin, "corrupt instance section: implausible horizon " + std::to_string(horizon));
+        const sim::Point start = read_point(r, dim);
+        const std::uint64_t horizon = r.count("horizon", 4);
         std::vector<sim::RequestBatch> steps;
         steps.reserve(horizon);
         for (std::uint64_t t = 0; t < horizon; ++t) {
@@ -555,7 +458,7 @@ TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
                  "corrupt instance section: implausible batch size " + std::to_string(nreq));
           sim::RequestBatch batch;
           batch.requests.reserve(nreq);
-          for (std::uint32_t i = 0; i < nreq; ++i) batch.requests.push_back(r.point(dim));
+          for (std::uint32_t i = 0; i < nreq; ++i) batch.requests.push_back(read_point(r, dim));
           steps.push_back(std::move(batch));
         }
         file.emplace(*meta, sim::Instance(start, params, std::move(steps)));
@@ -568,7 +471,7 @@ TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
         mc.server_speed = r.f64();
         mc.agent_speed = r.f64();
         mc.move_cost_weight = r.f64();
-        mc.start = r.point(dim);
+        mc.start = read_point(r, dim);
         const std::uint32_t nagents = r.u32();
         const std::uint64_t horizon = r.u64();
         if (nagents > size / 8 + 1 || horizon > size / 8 + 1)
@@ -578,7 +481,7 @@ TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
         for (std::uint32_t a = 0; a < nagents; ++a) {
           sim::AgentPath path;
           path.positions.reserve(horizon);
-          for (std::uint64_t t = 0; t < horizon; ++t) path.positions.push_back(r.point(dim));
+          for (std::uint64_t t = 0; t < horizon; ++t) path.positions.push_back(read_point(r, dim));
           mc.agents.push_back(std::move(path));
         }
         file->moving_client = std::move(mc);
@@ -589,7 +492,7 @@ TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
         if (!file) fail(origin, "corrupt file: adversary section before instance section");
         AdversaryInfo adv;
         adv.cost = r.f64();
-        adv.positions = sim::TrajectoryStore::from_points(r.points(dim));
+        adv.positions = sim::TrajectoryStore::from_points(read_points(r, dim));
         file->adversary = std::move(adv);
         break;
       }
@@ -605,11 +508,9 @@ TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
         run.total_cost = r.f64();
         run.move_cost = r.f64();
         run.service_cost = r.f64();
-        run.positions = r.points(dim);
+        run.positions = read_points(r, dim);
         if (r.u8() != 0) {
-          const std::uint64_t n = r.u64();
-          if (n > size / 16 + 1)
-            fail(origin, "corrupt run section: implausible step count " + std::to_string(n));
+          const std::uint64_t n = r.count("step", 16);
           run.step_costs.reserve(n);
           for (std::uint64_t i = 0; i < n; ++i) {
             const double move = r.f64();
@@ -633,7 +534,7 @@ TraceFile decode_binary(const std::string& bytes, const std::string& origin) {
                        std::to_string(size) + " bytes, decoder consumed " +
                        std::to_string(r.pos() - section_start));
   }
-  if (r.pos() != r.size()) fail(origin, "trailing data after end section");
+  if (r.remaining() != 0) fail(origin, "trailing data after end section");
   if (!file) fail(origin, "truncated: file ends before the instance section");
   return std::move(*file);
 }
@@ -668,6 +569,10 @@ void validate_trace_file(const TraceFile& file, const std::string& origin) {
 // ---------------------------------------------------------------------------
 // Public API.
 // ---------------------------------------------------------------------------
+
+void fail(const std::string& origin, const std::string& message) {
+  throw TraceError(origin + ": " + message);
+}
 
 std::string to_string(Codec codec) { return codec == Codec::kJsonl ? "jsonl" : "binary"; }
 

@@ -28,6 +28,10 @@ class TraceError : public std::runtime_error {
   explicit TraceError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Throws TraceError("<origin>: <message>"). The trace, checkpoint and
+/// snapshot decoders hand it to io::ByteReader as their failure callback.
+[[noreturn]] void fail(const std::string& origin, const std::string& message);
+
 enum class Codec {
   kJsonl,   ///< JSON Lines (".jsonl")
   kBinary,  ///< length-prefixed binary framing (".mtb")

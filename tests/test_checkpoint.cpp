@@ -15,6 +15,7 @@
 #include "algorithms/registry.hpp"
 #include "core/session_multiplexer.hpp"
 #include "ext/multi_server.hpp"
+#include "io/bytes.hpp"
 #include "sim/session.hpp"
 #include "stats/rng.hpp"
 #include "trace/checkpoint.hpp"
@@ -291,6 +292,86 @@ TEST_F(CheckpointFileTest, CorruptionAndTruncationAreLoud) {
   EXPECT_THROW((void)trace::decode_checkpoint("", "empty"), trace::TraceError);
 }
 
+TEST_F(CheckpointFileTest, EveryTruncationIsATraceError) {
+  par::ThreadPool pool(1);
+  core::SessionMultiplexer mux(pool);
+  populate(mux);
+  mux.step(5);
+  const std::string bytes = trace::encode_checkpoint(mux.checkpoint());
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    EXPECT_THROW((void)trace::decode_checkpoint(std::string_view(bytes).substr(0, keep), "cut"),
+                 trace::TraceError)
+        << keep;
+  }
+}
+
+/// Decodes \p bytes and swallows TraceError: the only failure a damaged
+/// file may produce. Any other exception escapes into the caller's
+/// EXPECT_NO_THROW, and an out-of-bounds read trips asan/ubsan.
+void decode_or_trace_error(const std::string& bytes) {
+  try {
+    (void)trace::decode_checkpoint(bytes, "sweep.msck");
+  } catch (const trace::TraceError&) {
+  }
+}
+
+TEST_F(CheckpointFileTest, EverySingleBitFlipDecodesOrIsATraceError) {
+  par::ThreadPool pool(1);
+  core::SessionMultiplexer mux(pool);
+  populate(mux);
+  mux.step(5);
+  const std::string bytes = trace::encode_checkpoint(mux.checkpoint());
+  std::string mutant = bytes;
+  for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      mutant[offset] = static_cast<char>(bytes[offset] ^ (1 << bit));
+      EXPECT_NO_THROW(decode_or_trace_error(mutant)) << offset << "." << bit;
+    }
+    mutant[offset] = bytes[offset];
+  }
+}
+
+/// A record built by hand (not from a run, so no engine change can move
+/// it): \p k servers and every kind of algorithm state.
+core::SessionCheckpointRecord pinned_record(std::size_t k) {
+  core::SessionCheckpointRecord record;
+  record.tenant = "pinned-k" + std::to_string(k);
+  record.algorithm = k == 1 ? "MtC" : "GreedyCenter";
+  record.algo_seed = 0x0123456789abcdefULL;
+  record.cursor = 9;
+  record.horizon = 12;
+  sim::SessionCheckpoint& engine = record.engine;
+  engine.params.move_cost_weight = 4.0;
+  engine.params.max_step = 0.75;
+  engine.params.order = sim::ServiceOrder::kServeThenMove;
+  engine.speed_factor = 1.5;
+  engine.policy = sim::SpeedLimitPolicy::kClamp;
+  engine.step = 9;
+  engine.move_cost = 1.0 / 3.0;
+  engine.service_cost = 2.5e-7;
+  for (std::size_t i = 0; i < k; ++i) {
+    engine.servers.push_back(Point{0.25 * double(i), -1.0 / double(i + 3)});
+    engine.server_move.push_back(0.1 * double(i + 1));
+  }
+  engine.algorithm = record.algorithm;
+  engine.algorithm_state.words = {7, 0xdeadbeefcafef00dULL};
+  engine.algorithm_state.reals = {0.5, -1e-300};
+  engine.algorithm_state.points = {Point{1.0, 2.0}, Point{-3.5}};
+  return record;
+}
+
+/// The encoder's output, pinned by size and CRC-32. A round trip cannot
+/// see an encoder and decoder that change together; this can.
+TEST_F(CheckpointFileTest, EncodingIsPinned) {
+  const std::string k1 = trace::encode_checkpoint({pinned_record(1)});
+  EXPECT_EQ(k1.size(), 262u);
+  EXPECT_EQ(io::crc32(k1), 0x6C209E93u);
+  const std::string k4 = trace::encode_checkpoint({pinned_record(4)});
+  EXPECT_EQ(k4.size(), 355u);
+  EXPECT_EQ(io::crc32(k4), 0x142BD153u);
+  EXPECT_EQ(trace::encode_checkpoint(trace::decode_checkpoint(k4, "pinned")), k4);
+}
+
 TEST_F(CheckpointFileTest, MissingFileIsLoud) {
   EXPECT_THROW((void)trace::read_checkpoint(dir_ / "nope.msck"), trace::TraceError);
 }
@@ -369,10 +450,10 @@ TEST_F(CheckpointFileTest, AtomicWriteReplacesThePreviousSnapshotCleanly) {
   // Two consecutive periodic saves: the later one wins, no temp file
   // survives, and the result round-trips.
   mux.step(4);
-  trace::write_checkpoint_atomic(path, mux.checkpoint());
+  trace::write_checkpoint(path, mux.checkpoint());
   mux.step(4);
   const std::vector<core::SessionCheckpointRecord> latest = mux.checkpoint();
-  trace::write_checkpoint_atomic(path, latest);
+  trace::write_checkpoint(path, latest);
   EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
 
   const std::vector<core::SessionCheckpointRecord> read = trace::read_checkpoint(path);
@@ -380,7 +461,7 @@ TEST_F(CheckpointFileTest, AtomicWriteReplacesThePreviousSnapshotCleanly) {
 
   // Unwritable destinations fail loudly and leave no temp file either.
   const fs::path bad = dir_ / "no-such-dir" / "x.msck";
-  EXPECT_THROW(trace::write_checkpoint_atomic(bad, latest), trace::TraceError);
+  EXPECT_THROW(trace::write_checkpoint(bad, latest), trace::TraceError);
   EXPECT_FALSE(fs::exists(bad.string() + ".tmp"));
 }
 

@@ -1,13 +1,15 @@
 // Unit tests for io/: table rendering (markdown + CSV), number formatting,
 // flag parsing used by every bench and example binary, and the byte
-// helpers (whole-file loads, CRC-32).
+// helpers (put_* writers, ByteReader, whole-file loads, CRC-32).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "io/args.hpp"
@@ -66,6 +68,94 @@ TEST(ReadFile, LoadsWholeFileAndNamesFailures) {
   EXPECT_EQ(read_file(dir / "missing.bin", bytes), ReadStatus::kCannotOpen);
   EXPECT_EQ(read_file(dir, bytes), ReadStatus::kReadFailed);  // a directory has no byte size
   std::filesystem::remove_all(dir);
+}
+
+struct ByteError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+[[noreturn]] void throw_byte_error(const std::string& origin, const std::string& message) {
+  throw ByteError(origin + ": " + message);
+}
+
+/// The message \p read fails with, or "" if it does not fail.
+template <typename Read>
+std::string failure_of(Read&& read) {
+  try {
+    read();
+  } catch (const ByteError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ByteReader, ReadsBackWhatThePutWritersWrote) {
+  std::string bytes;
+  put_u8(bytes, 0xAB);
+  put_u32(bytes, 0x01020304u);
+  put_u64(bytes, 0x1122334455667788ULL);
+  put_f64(bytes, -0.1);
+  put_str(bytes, std::string("a\0b", 3));
+  ASSERT_EQ(bytes.size(), 1u + 4 + 8 + 8 + 4 + 3);
+  EXPECT_EQ(bytes.substr(1, 4), "\x04\x03\x02\x01");  // little-endian
+
+  ByteReader r(bytes, "mem", throw_byte_error);
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
+  EXPECT_EQ(r.f64(), -0.1);
+  EXPECT_EQ(r.str(), std::string("a\0b", 3));
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(r.pos(), bytes.size());
+}
+
+TEST(ByteReader, ReadingExactlyWhatRemainsSucceeds) {
+  const std::string bytes = "0123456789";
+  ByteReader r(bytes, "mem", throw_byte_error);
+  EXPECT_EQ(r.take(3), "012");
+  EXPECT_EQ(r.take(r.remaining()), "3456789");
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(r.take(0), "");
+}
+
+TEST(ByteReader, ReadingOnePastTheEndFailsWithContextAndOffset) {
+  const std::string bytes = "0123456789";
+  ByteReader r(bytes, "mem.bin", throw_byte_error);
+  EXPECT_EQ(r.u64(), 0x3736353433323130ULL);
+  r.set_context("widget");
+  EXPECT_EQ(failure_of([&] { (void)r.take(r.remaining() + 1); }),
+            "mem.bin: truncated: unexpected end of file while reading widget (at byte 8 of 10)");
+  EXPECT_EQ(failure_of([&] { (void)r.u32(); }),
+            "mem.bin: truncated: unexpected end of file while reading widget (at byte 8 of 10)");
+  EXPECT_EQ(r.pos(), 8u);  // a failed read consumes nothing
+  EXPECT_EQ(r.take(2), "89");
+}
+
+TEST(ByteReader, HugeLengthsAndCountsFailWithoutWrapping) {
+  std::string bytes;
+  put_u8(bytes, 0);
+  put_u64(bytes, std::numeric_limits<std::uint64_t>::max());
+  ByteReader r(bytes, "mem", throw_byte_error);
+  (void)r.u8();
+  // pos + SIZE_MAX wraps around to pos - 1, which a `pos + n > size` check lets through.
+  EXPECT_NE(failure_of([&] { (void)r.take(std::numeric_limits<std::size_t>::max()); }), "");
+  r.set_context("table");
+  EXPECT_EQ(failure_of([&] { (void)r.count("row", 8); }),
+            "mem: corrupt table: implausible row count 18446744073709551615");
+
+  std::string long_string;
+  put_u32(long_string, std::numeric_limits<std::uint32_t>::max());
+  ByteReader strings(long_string, "mem", throw_byte_error);
+  EXPECT_NE(failure_of([&] { (void)strings.str(); }), "");
+
+  // A count of 8 fits the 8 bytes after it at 1 byte per item, not at 2.
+  std::string counted;
+  put_u64(counted, 8);
+  counted.append(8, 'x');
+  ByteReader fits(counted, "mem", throw_byte_error);
+  EXPECT_EQ(fits.count("row", 1), 8u);
+  ByteReader too_many(counted, "mem", throw_byte_error);
+  EXPECT_NE(failure_of([&] { (void)too_many.count("row", 2); }), "");
 }
 
 TEST(FormatDouble, SignificantDigitsAndSpecials) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/session_multiplexer.hpp"
+#include "io/bytes.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/tenant_table.hpp"
@@ -387,6 +388,77 @@ TEST_F(ServeSnapshotTest, BitFlipsNeverLoadAStateOutsideTheChain) {
     }
     // Any other exception type escapes and fails the test — that is the point.
   }
+}
+
+/// A spec and record built by hand (not from a run, so no engine change
+/// can move them).
+serve::TenantSpec pinned_spec(const std::string& name, std::size_t k) {
+  serve::TenantSpec spec;
+  spec.tenant = name;
+  spec.algorithm = k == 1 ? "MtC" : "GreedyCenter";
+  spec.seed = 11;
+  spec.dim = 2;
+  spec.fleet_size = k;
+  spec.speed_factor = 1.5;
+  spec.params.move_cost_weight = 2.0;
+  for (std::size_t i = 0; i < k; ++i) spec.starts.push_back(geo::Point{0.5 * double(i), -0.25});
+  return spec;
+}
+
+core::SessionCheckpointRecord pinned_record(const serve::TenantSpec& spec, std::size_t cursor) {
+  core::SessionCheckpointRecord record;
+  record.tenant = spec.tenant;
+  record.algorithm = spec.algorithm;
+  record.algo_seed = spec.seed;
+  record.cursor = cursor;
+  record.horizon = cursor + 2;
+  sim::SessionCheckpoint& engine = record.engine;
+  engine.params = spec.params;
+  engine.speed_factor = spec.speed_factor;
+  engine.policy = spec.policy;
+  engine.step = cursor;
+  engine.move_cost = 0.125 * double(cursor);
+  engine.service_cost = 1.0 / 3.0;
+  engine.servers = spec.starts;
+  engine.server_move.assign(spec.starts.size(), 0.0625);
+  engine.algorithm = spec.algorithm;
+  engine.algorithm_state.words = {cursor};
+  engine.algorithm_state.reals = {-0.5};
+  engine.algorithm_state.points = {geo::Point{1.25, -0.5}};
+  return record;
+}
+
+/// The segment encoder's output, pinned by size and CRC-32. A round trip
+/// cannot see an encoder and decoder that change together; this can.
+TEST_F(ServeSnapshotTest, SegmentEncodingIsPinned) {
+  SnapshotSegment base;
+  for (std::uint64_t slot = 0; slot < 2; ++slot) {
+    base.opened.push_back(pinned_spec("tenant-" + std::to_string(slot), slot == 0 ? 1 : 4));
+    base.opened_slots.push_back(slot);
+    base.record_slots.push_back(slot);
+    base.records.push_back(pinned_record(base.opened.back(), 3 + slot));
+  }
+  SnapshotSegment delta;
+  delta.opened.push_back(pinned_spec("tenant-2", 1));
+  delta.opened_slots.push_back(2);
+  delta.closed_slots.push_back(1);
+  delta.record_slots = {0, 2};
+  delta.records = {pinned_record(base.opened[0], 7), pinned_record(delta.opened[0], 1)};
+
+  const std::string base_bytes = serve::encode_snapshot_segment(base, /*base=*/true);
+  EXPECT_EQ(base_bytes.size(), 985u);
+  EXPECT_EQ(io::crc32(base_bytes), 0xEC2C4563u);
+  const std::string delta_bytes = serve::encode_snapshot_segment(delta, /*base=*/false);
+  EXPECT_EQ(delta_bytes.size(), 689u);
+  EXPECT_EQ(io::crc32(delta_bytes), 0xFF18A930u);
+
+  const fs::path path = dir_ / "pinned.msrvss";
+  serve::write_encoded_base(path, base_bytes);
+  serve::append_encoded_delta(path, delta_bytes);
+  const ServiceSnapshot merged = serve::read_snapshot(path);
+  ASSERT_EQ(merged.tenants.size(), 2u);
+  EXPECT_EQ(merged.tenants[1].tenant, "tenant-2");
+  EXPECT_EQ(trace::encode_checkpoint(merged.records), trace::encode_checkpoint(delta.records));
 }
 
 }  // namespace
