@@ -382,6 +382,26 @@ SessionStats SessionMultiplexer::stats(std::size_t id) const {
   return slot.open() ? slot.live_stats() : slot.final_stats;
 }
 
+SessionProgress SessionMultiplexer::progress(std::size_t id) const {
+  MOBSRV_CHECK(id < slots_.size());
+  const Slot& slot = *slots_[id];
+  if (!slot.open()) {
+    const SessionStats& done = slot.final_stats;
+    return {done.steps, done.move_cost, done.service_cost, done.total_cost,
+            done.throttled_rounds};
+  }
+  const sim::Session& session = slot.engine->session;
+  return {slot.cursor, session.move_cost(), session.service_cost(), session.total_cost(),
+          slot.throttled_rounds};
+}
+
+std::span<const sim::Point> SessionMultiplexer::positions(std::size_t id) const {
+  MOBSRV_CHECK(id < slots_.size());
+  const Slot& slot = *slots_[id];
+  return slot.open() ? std::span<const sim::Point>(slot.engine->session.fleet())
+                     : std::span<const sim::Point>(slot.final_stats.positions);
+}
+
 std::vector<SessionStats> SessionMultiplexer::snapshot() const {
   std::vector<SessionStats> all;
   all.reserve(slots_.size());

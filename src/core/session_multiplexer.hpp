@@ -76,6 +76,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,6 +141,17 @@ struct SessionStats {
   sim::Point position;                       ///< first server's position
   std::vector<sim::Point> positions;         ///< every server's position
   std::vector<double> per_server_move_cost;  ///< move split by server
+};
+
+/// The counters and cost accumulators of SessionStats, without its names
+/// and position vectors: what the serve pump reads for every tenant every
+/// round, so reading it never allocates.
+struct SessionProgress {
+  std::size_t steps = 0;
+  double move_cost = 0.0;
+  double service_cost = 0.0;
+  double total_cost = 0.0;
+  std::size_t throttled_rounds = 0;
 };
 
 /// Aggregate accounting over all sessions.
@@ -263,6 +275,12 @@ class SessionMultiplexer {
   [[nodiscard]] bool closed(std::size_t id) const;
 
   [[nodiscard]] SessionStats stats(std::size_t id) const;
+  /// stats(id)'s steps, costs and throttled rounds, read in place: no
+  /// allocation, the same values bit for bit.
+  [[nodiscard]] SessionProgress progress(std::size_t id) const;
+  /// stats(id).positions, viewed in place; valid until the next round,
+  /// close() or restore().
+  [[nodiscard]] std::span<const sim::Point> positions(std::size_t id) const;
   [[nodiscard]] std::vector<SessionStats> snapshot() const;
   [[nodiscard]] MuxTotals totals() const;
 

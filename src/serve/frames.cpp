@@ -1,6 +1,7 @@
 #include "serve/frames.hpp"
 
 #include <charconv>
+#include <cmath>
 
 #include "common/contracts.hpp"
 
@@ -230,7 +231,106 @@ TenantSpec snapshot_spec_from_json(const Json& entry) {
   return spec_from_members(entry, "tenant spec");
 }
 
+namespace {
+
+/// Reads one number in strict JSON grammar at \p pos into \p value and
+/// moves \p pos past it. False when the grammar does not match there or the
+/// value is not a finite double; \p pos is then unchanged.
+bool scan_number(std::string_view line, std::size_t& pos, double& value) {
+  const char* const begin = line.data() + pos;
+  const char* const end = line.data() + line.size();
+  const char* p = begin;
+  const auto digits = [&p, end] {
+    const char* const first = p;
+    while (p != end && *p >= '0' && *p <= '9') ++p;
+    return p != first;
+  };
+  if (p != end && *p == '-') ++p;
+  if (p != end && *p == '0')
+    ++p;
+  else if (!digits())
+    return false;
+  if (p != end && *p == '.') {
+    ++p;
+    if (!digits()) return false;
+  }
+  if (p != end && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p != end && (*p == '+' || *p == '-')) ++p;
+    if (!digits()) return false;
+  }
+  const auto [ptr, ec] = std::from_chars(begin, p, value);
+  if (ec != std::errc() || ptr != p || !std::isfinite(value)) return false;
+  pos += static_cast<std::size_t>(p - begin);
+  return true;
+}
+
+}  // namespace
+
+bool scan_req_frame(std::string_view line, ClientFrame& frame) {
+  constexpr std::string_view kHead = R"({"type":"req","tenant":")";
+  constexpr std::string_view kBatch = R"(","batch":[)";
+  if (!line.starts_with(kHead)) return false;
+  std::size_t pos = kHead.size();
+  const std::size_t name_begin = pos;
+  for (;; ++pos) {
+    if (pos == line.size()) return false;
+    const auto c = static_cast<unsigned char>(line[pos]);
+    if (c == '"') break;
+    if (c == '\\' || c < 0x20 || c >= 0x80) return false;
+  }
+  const std::string_view name = line.substr(name_begin, pos - name_begin);
+  if (line.substr(pos, kBatch.size()) != kBatch) return false;
+  pos += kBatch.size();
+
+  // Each request's coordinates land in `coords` first: its dimension is
+  // known only at its closing bracket.
+  std::vector<sim::Point>& requests = frame.batch.requests;
+  requests.clear();
+  int dim = 0;
+  bool more = pos < line.size() && line[pos] != ']';
+  if (!more) ++pos;
+  while (more) {
+    if (pos == line.size() || line[pos] != '[') return false;
+    ++pos;
+    double coords[sim::Point::kMaxDim];
+    int n = 0;
+    for (bool open = true; open;) {
+      if (n == sim::Point::kMaxDim || !scan_number(line, pos, coords[n]) || pos == line.size())
+        return false;
+      ++n;
+      const char c = line[pos++];
+      if (c != ',' && c != ']') return false;
+      open = c == ',';
+    }
+    if (dim == 0)
+      dim = n;
+    else if (n != dim)
+      return false;
+    sim::Point& request = requests.emplace_back(n);
+    for (int i = 0; i < n; ++i) request[i] = coords[i];
+    if (pos == line.size()) return false;
+    const char c = line[pos++];
+    if (c != ',' && c != ']') return false;
+    more = c == ',';
+  }
+  if (pos + 1 != line.size() || line[pos] != '}') return false;
+  frame.type = FrameType::kReq;
+  frame.tenant.assign(name);
+  return true;
+}
+
 ClientFrame parse_client_frame(std::string_view line) {
+  ClientFrame frame;
+  parse_client_frame(line, frame);
+  return frame;
+}
+
+void parse_client_frame(std::string_view line, ClientFrame& frame) {
+  if (!scan_req_frame(line, frame)) frame = parse_client_frame_dom(line);
+}
+
+ClientFrame parse_client_frame_dom(std::string_view line) {
   Json doc;
   try {
     doc = Json::parse(line);
@@ -314,25 +414,6 @@ std::string opened_frame(const TenantSpec& spec) {
   return doc.dump();
 }
 
-std::string outcome_frame(const std::string& tenant, std::size_t t, double move_delta,
-                          double service_delta, const core::SessionStats& stats, bool lean) {
-  Json doc = Json::object();
-  doc.set("type", "outcome");
-  doc.set("tenant", tenant);
-  doc.set("t", t);
-  doc.set("move", move_delta);
-  doc.set("service", service_delta);
-  doc.set("move_total", stats.move_cost);
-  doc.set("service_total", stats.service_cost);
-  doc.set("total", stats.total_cost);
-  if (!lean) {
-    Json positions = Json::array();
-    for (const sim::Point& p : stats.positions) positions.push_back(point_to_json(p));
-    doc.set("positions", std::move(positions));
-  }
-  return doc.dump();
-}
-
 std::string busy_frame(const std::string& tenant, std::uint64_t line, std::size_t queued,
                        std::size_t limit) {
   Json doc = Json::object();
@@ -394,6 +475,21 @@ class Members {
     io::append_escaped(key(name), value);
     return *this;
   }
+  /// An array of points, each an array of its coordinates.
+  Members& points(std::string_view name, std::span<const sim::Point> value) {
+    std::string& list = key(name);
+    list += '[';
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      list += i == 0 ? "[" : ",[";
+      for (int d = 0; d < value[i].dim(); ++d) {
+        if (d != 0) list += ',';
+        io::append_double(list, value[i][d]);
+      }
+      list += ']';
+    }
+    list += ']';
+    return *this;
+  }
   /// The obs::summary_to_json object.
   Members& summary(std::string_view name, const obs::HistogramSummary& value) {
     key(name) += '{';
@@ -453,6 +549,33 @@ void append_tenant_members(std::string& out, const core::SessionStats& stats,
         .uint("throttled", stats.throttled_rounds)
         .summary("ingest_latency_ns", row->ingest_latency);
   }
+}
+
+void append_outcome(std::string& out, std::string_view tenant, std::size_t t,
+                    double move_delta, double service_delta,
+                    const core::SessionProgress& progress,
+                    std::span<const sim::Point> positions, bool lean) {
+  out += R"({"type":"outcome",)";
+  Members members(out);
+  members.text("tenant", tenant)
+      .uint("t", t)
+      .real("move", move_delta)
+      .real("service", service_delta)
+      .real("move_total", progress.move_cost)
+      .real("service_total", progress.service_cost)
+      .real("total", progress.total_cost);
+  if (!lean) members.points("positions", positions);
+  out += '}';
+}
+
+std::string outcome_frame(const std::string& tenant, std::size_t t, double move_delta,
+                          double service_delta, const core::SessionStats& stats, bool lean) {
+  std::string out;
+  append_outcome(out, tenant, t, move_delta, service_delta,
+                 {stats.steps, stats.move_cost, stats.service_cost, stats.total_cost,
+                  stats.throttled_rounds},
+                 stats.positions, lean);
+  return out;
 }
 
 std::string closed_frame(const core::SessionStats& stats) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -116,6 +117,27 @@ class FrameError : public std::runtime_error {
 /// Throws FrameError, attributed to the frame's tenant when one was named.
 [[nodiscard]] ClientFrame parse_client_frame(std::string_view line);
 
+/// parse_client_frame into \p frame, whose tenant name and batch keep their
+/// capacity from one call to the next: a served `req` step allocates
+/// nothing here. Members that the parsed type does not use may keep
+/// earlier values; after a throw, \p frame holds no meaningful value.
+void parse_client_frame(std::string_view line, ClientFrame& frame);
+
+/// The two readers behind parse_client_frame, public so that tests can hold
+/// one against the other.
+///
+/// scan_req_frame is the fast path. It reads only the canonical `req` shape
+/// `{"type":"req","tenant":"<name>","batch":[[x,...],...]}`: no whitespace,
+/// members in that order, no `v`, a name without backslashes, control
+/// bytes or bytes >= 0x80, numbers in strict JSON grammar that parse to
+/// finite doubles, 1..kMaxDim coordinates per request and one dimension per
+/// batch. On such a line it fills \p frame as the DOM reader would and
+/// returns true. On any other line it returns false (with \p frame's tenant
+/// and batch unspecified), and the line belongs to the DOM reader.
+[[nodiscard]] bool scan_req_frame(std::string_view line, ClientFrame& frame);
+/// The DOM reader: the whole grammar and every error text.
+[[nodiscard]] ClientFrame parse_client_frame_dom(std::string_view line);
+
 // ---------------------------------------------------------------------------
 // Server frame builders. Each returns one compact JSON line (no trailing
 // newline); doubles are written in shortest round-trip form.
@@ -131,6 +153,14 @@ class FrameError : public std::runtime_error {
 [[nodiscard]] std::string outcome_frame(const std::string& tenant, std::size_t t,
                                         double move_delta, double service_delta,
                                         const core::SessionStats& stats, bool lean);
+
+/// outcome_frame's line (no trailing newline) appended to \p out, with no
+/// DOM: the accumulators come from \p progress, and \p positions is the
+/// fleet, written unless \p lean.
+void append_outcome(std::string& out, std::string_view tenant, std::size_t t,
+                    double move_delta, double service_delta,
+                    const core::SessionProgress& progress,
+                    std::span<const sim::Point> positions, bool lean);
 
 /// Backpressure: the `req` frame on input line \p line was NOT accepted
 /// (the tenant's in-flight queue is full); the client must re-send it.

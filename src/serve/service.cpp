@@ -46,10 +46,10 @@ void Service::restore(const std::filesystem::path& path) {
   // Sync the emission ledger with the restored accumulators: outcomes up to
   // the saved cursor were emitted by the previous process.
   for (const auto& tenant : table_.entries()) {
-    const core::SessionStats stats = mux_.stats(tenant->slot);
-    tenant->emitted = stats.steps;
-    tenant->emitted_move = stats.move_cost;
-    tenant->emitted_service = stats.service_cost;
+    const core::SessionProgress progress = mux_.progress(tenant->slot);
+    tenant->emitted = progress.steps;
+    tenant->emitted_move = progress.move_cost;
+    tenant->emitted_service = progress.service_cost;
   }
   // Telemetry counters are process-local (they start fresh), but the open
   // set is real: rebuild the gauge and the per-slot rows.
@@ -99,9 +99,9 @@ ExitReason Service::run(std::istream& in, std::ostream& out) {
 }
 
 void Service::handle_line(const std::string& line, std::ostream& out) {
-  ClientFrame frame;
+  ClientFrame& frame = frame_;
   try {
-    frame = parse_client_frame(line);
+    parse_client_frame(line, frame);
   } catch (const FrameError& error) {
     // The malformed-frame discipline: close the tenant the frame named (its
     // stream is now unreliable), never the process. Unattributable garbage
@@ -336,17 +336,17 @@ void Service::pump(std::ostream& out) {
       for (const std::size_t slot : pending_slots_) {
         Tenant* tenant = table_.find_slot(slot);
         if (tenant == nullptr) continue;  // error-closed mid-pump; drop
-        const core::SessionStats stats = mux_.stats(slot);
-        if (stats.steps > tenant->emitted) {
+        const core::SessionProgress progress = mux_.progress(slot);
+        if (progress.steps > tenant->emitted) {
           tenant->throttling = false;  // the scheduler let it advance again
-          out << outcome_frame(tenant->spec.tenant, stats.steps - 1,
-                               stats.move_cost - tenant->emitted_move,
-                               stats.service_cost - tenant->emitted_service, stats,
-                               options_.lean)
-              << '\n';
-          tenant->emitted = stats.steps;
-          tenant->emitted_move = stats.move_cost;
-          tenant->emitted_service = stats.service_cost;
+          append_outcome(outcomes_, tenant->spec.tenant, progress.steps - 1,
+                         progress.move_cost - tenant->emitted_move,
+                         progress.service_cost - tenant->emitted_service, progress,
+                         mux_.positions(slot), options_.lean);
+          outcomes_ += '\n';
+          tenant->emitted = progress.steps;
+          tenant->emitted_move = progress.move_cost;
+          tenant->emitted_service = progress.service_cost;
           tenant->last_activity = lines_;  // progress counts as life
           ++steps_since_snapshot_;
           ++steps_since_metrics_;
@@ -359,7 +359,7 @@ void Service::pump(std::ostream& out) {
             row.ingest_latency.record(latency);
             telemetry_.ingest_latency.record(latency);
           }
-        } else if (stats.throttled_rounds > tenant->throttled_seen && !tenant->throttling) {
+        } else if (progress.throttled_rounds > tenant->throttled_seen && !tenant->throttling) {
           // Journal one event per throttle EPISODE (entry only), not per
           // starved round — the journal is for rare lifecycle events.
           tenant->throttling = true;
@@ -372,13 +372,15 @@ void Service::pump(std::ostream& out) {
         // A throttled round needs no telemetry mark: it grants this slot no
         // step, so the slot stays pending, and the pump only ends after its
         // next outcome, whose tenant_row() call marks the row.
-        tenant->throttled_seen = stats.throttled_rounds;
+        tenant->throttled_seen = progress.throttled_rounds;
         if (tenant->workload->horizon() > tenant->emitted)
           pending_slots_[keep++] = slot;
         else
           tenant->pending = false;
       }
       pending_slots_.resize(keep);
+      out.write(outcomes_.data(), static_cast<std::streamsize>(outcomes_.size()));
+      outcomes_.clear();
 
       // Sessions that threw were closed by the mux (their slot alone);
       // report and drop them — every other tenant keeps streaming.

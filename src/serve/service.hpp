@@ -249,6 +249,12 @@ class Service {
   core::SessionMultiplexer mux_;
   TenantTable table_;
   ServeTelemetry telemetry_;
+  /// handle_line's frame, reused so that a `req`'s tenant name and batch
+  /// keep their capacity from line to line.
+  ClientFrame frame_;
+  /// One pump round's outcome lines, written to the output stream in one
+  /// call; reused from round to round.
+  std::string outcomes_;
   std::uint64_t lines_ = 0;             ///< input lines seen (error attribution)
   std::size_t steps_since_snapshot_ = 0;
   std::size_t steps_since_metrics_ = 0;

@@ -613,5 +613,297 @@ TEST(ServeFrames, MetricsOutTenantLinesMatchTheDomOracle) {
   EXPECT_GE(lines_checked, 10'000u);
 }
 
+// ---------------------------------------------------------------------------
+// The `req` fast path against the DOM reader. parse_client_frame tries
+// scan_req_frame first, so on every line what it returns (type, tenant and
+// the bits of every coordinate) or throws (text and tenant) must equal what
+// the DOM reader alone makes of that line.
+// ---------------------------------------------------------------------------
+
+/// A reader's verdict on one line, as text.
+std::string verdict(const ClientFrame& frame) {
+  std::string out = "frame type " + std::to_string(static_cast<int>(frame.type)) +
+                    " tenant \"" + frame.tenant + "\"";
+  for (const sim::Point& p : frame.batch.requests) {
+    out += " [";
+    for (int i = 0; i < p.dim(); ++i) out += ' ' + std::to_string(std::bit_cast<std::uint64_t>(p[i]));
+    out += " ]";
+  }
+  return out;
+}
+
+template <class Read>
+std::string verdict_of(const Read& read, std::string_view line) {
+  try {
+    return verdict(read(line));
+  } catch (const FrameError& error) {
+    return std::string("error ") + error.what() + " tenant \"" + error.tenant() + "\"";
+  }
+}
+
+/// Checks every way into the readers on \p line against the DOM reader
+/// alone. \p reused carries the buffers of every earlier line; \p fast
+/// counts the lines the scanner took.
+void expect_readers_agree(std::string_view line, ClientFrame& reused, std::size_t& fast) {
+  const std::string dom = verdict_of(serve::parse_client_frame_dom, line);
+  EXPECT_EQ(verdict_of([](std::string_view l) { return serve::parse_client_frame(l); }, line),
+            dom)
+      << line;
+  const auto into_reused = [&reused](std::string_view l) -> const ClientFrame& {
+    serve::parse_client_frame(l, reused);
+    return reused;
+  };
+  EXPECT_EQ(verdict_of(into_reused, line), dom) << line;
+  ClientFrame scanned;
+  if (serve::scan_req_frame(line, scanned)) {
+    ++fast;
+    EXPECT_EQ(verdict(scanned), dom) << line;
+  }
+}
+
+/// Number spellings inside JSON's grammar that stress the conversion: both
+/// ends of the exponent range, integers past 2^53 and 2^64, and finite
+/// spellings of values that are not finite doubles.
+const std::vector<std::string> kStrictNumbers = {
+    "0", "-0", "-0.0", "0.5", "1E5", "1e+5", "2.5E-3", "1e-310", "4.9e-324", "2e-324",
+    "1e-400", "1e400", "-1e400", "1.7976931348623157e308", "1.8e308", "1.4999999999999996",
+    "9007199254740993", "-9007199254740993", "18446744073709551615", "18446744073709551616",
+    "-9223372036854775808", "-9223372036854775809", "123456789012345678901234567890"};
+/// Spellings outside JSON's grammar: the DOM reader decides what they mean.
+const std::vector<std::string> kLooseNumbers = {
+    "01", "-01", "00", "1.", "-", ".5", "+1", "1e", "1e+", "0x10", "1.5.2", "--1", "1e5e5",
+    "NaN", "Infinity", "-Infinity", "1_0", "true", "null", "\"1\"", "[1]"};
+
+template <class T>
+const T& pick(stats::Rng& rng, const std::vector<T>& from) {
+  return from[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+}
+
+std::string valid_number(stats::Rng& rng) {
+  if (rng.uniform_int(0, 7) == 0) return pick(rng, kStrictNumbers);
+  std::string out;
+  io::append_double(out, awkward_double(rng));
+  return out;
+}
+
+/// A batch of \p n points of \p dim coordinates each, written canonically.
+std::string batch_text(stats::Rng& rng, std::int64_t n, std::int64_t dim) {
+  std::string out = "[";
+  for (std::int64_t i = 0; i < n; ++i) {
+    out += i == 0 ? "[" : ",[";
+    for (std::int64_t d = 0; d < dim; ++d) {
+      if (d != 0) out += ',';
+      out += valid_number(rng);
+    }
+    out += ']';
+  }
+  return out + "]";
+}
+
+std::string plain_name(stats::Rng& rng) {
+  std::string name;
+  const std::int64_t length = rng.uniform_int(0, 10);
+  for (std::int64_t i = 0; i < length; ++i) {
+    char c = static_cast<char>(rng.uniform_int(0x20, 0x7e));
+    if (c == '"' || c == '\\') c = '_';
+    name += c;
+  }
+  return name;
+}
+
+std::string req_text(const std::string& name, const std::string& batch) {
+  return R"({"type":"req","tenant":")" + name + R"(","batch":)" + batch + "}";
+}
+
+/// A seeded `req` line: canonical, or one of the variants the scanner
+/// must hand to the DOM reader.
+std::string random_req(stats::Rng& rng) {
+  const std::string name = plain_name(rng);
+  const std::int64_t dim = rng.uniform_int(1, sim::Point::kMaxDim);
+  const std::string batch = batch_text(rng, rng.uniform_int(0, 5), dim);
+  std::string line = req_text(name, batch);
+  switch (rng.uniform_int(0, 23)) {
+    case 0: {  // whitespace or a newline anywhere
+      static const std::vector<std::string> kSpace = {" ", "\t", "\n", "\r"};
+      line.insert(static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(line.size()))),
+                  pick(rng, kSpace));
+      return line;
+    }
+    case 1:  // members in another order
+      return rng.coin() ? R"({"tenant":")" + name + R"(","type":"req","batch":)" + batch + "}"
+                        : R"({"type":"req","batch":)" + batch + R"(,"tenant":")" + name + "\"}";
+    case 2:  // a version member
+      return rng.coin() ? R"({"type":"req","v":1,"tenant":")" + name + R"(","batch":)" + batch + "}"
+                        : line.substr(0, line.size() - 1) + (rng.coin() ? R"(,"v":1})" : R"(,"v":2})");
+    case 3: {  // escapes in the name
+      static const std::vector<std::string> kEscapes = {"\\\"", "\\\\", "\\/", "\\u0041", "\\n",
+                                                        "\\ud83d\\ude80", "\\ud83d", "\\x"};
+      return req_text(name + pick(rng, kEscapes) + name, batch);
+    }
+    case 4: {  // UTF-8 and raw control bytes in the name
+      static const std::vector<std::string> kBytes = {"\xc3\xa9", "\xe6\x97\xa5", "\xf0\x9f\x9a\x80",
+                                                      "\x7f", "\x80", "\xff", std::string(1, '\0'),
+                                                      "\x01"};
+      return req_text(name + pick(rng, kBytes), batch);
+    }
+    case 5: {  // one coordinate outside the strict grammar
+      std::string loose = "[[" + pick(rng, kLooseNumbers) + "]]";
+      if (rng.coin()) loose = "[[1," + pick(rng, kLooseNumbers) + "],[2,3]]";
+      return req_text(name, loose);
+    }
+    case 6:  // mixed dimensions
+      return req_text(name, "[[1,2]," + batch_text(rng, 1, rng.uniform_int(1, 3)).substr(1));
+    case 7:  // 0 or 9 coordinates
+      return req_text(name, rng.coin() ? "[[]]" : batch_text(rng, 1, sim::Point::kMaxDim + 1));
+    case 8: {  // trailing bytes
+      static const std::vector<std::string> kTails = {" ", "x", "}", "\n", ",", "]",
+                                                      std::string(1, '\0')};
+      return line + pick(rng, kTails);
+    }
+    case 9: {  // a batch or request of the wrong shape
+      static const std::vector<std::string> kShapes = {"5", "{}", "[1,2]", "[[1],2]", "\"[[1]]\"",
+                                                       "null", "[[1]", "[[1]],", "[[1],]", "[,[1]]"};
+      return req_text(name, pick(rng, kShapes));
+    }
+    case 10:  // a tenant that is not a string, or no tenant
+      return rng.coin() ? R"({"type":"req","tenant":5,"batch":)" + batch + "}"
+                        : R"({"type":"req","batch":)" + batch + "}";
+    case 11:  // an empty batch
+      return req_text(name, "[]");
+    default:  // canonical
+      return line;
+  }
+}
+
+TEST(ServeFrames, ReqScannerAgreesWithTheDomReaderOnSeededLines) {
+  stats::Rng rng(0x5CA7);
+  ClientFrame reused;
+  std::size_t fast = 0;
+  constexpr std::size_t kLines = 20'000;
+  for (std::size_t i = 0; i < kLines && !HasFailure(); ++i)
+    expect_readers_agree(random_req(rng), reused, fast);
+  // Both readers took a real share of the lines.
+  EXPECT_GT(fast, kLines / 4);
+  EXPECT_LT(fast, kLines - kLines / 8);
+}
+
+TEST(ServeFrames, ReqScannerAgreesWithTheDomReaderOnEveryTruncationAndByteSubstitution) {
+  stats::Rng rng(0x7A11);
+  const std::vector<std::string> lines = {
+      R"({"type":"req","tenant":"t42","batch":[[-1.25,0.5],[3,-0],[1e-310,2.5E+3]]})",
+      R"({"type":"req","tenant":"","batch":[]})",
+      req_text(plain_name(rng), batch_text(rng, 3, 2)),
+  };
+  ClientFrame reused;
+  std::size_t fast = 0;
+  for (const std::string& line : lines) {
+    expect_readers_agree(line, reused, fast);
+    for (std::size_t n = 0; n < line.size() && !HasFailure(); ++n)
+      expect_readers_agree(std::string_view(line).substr(0, n), reused, fast);
+    for (std::size_t at = 0; at < line.size() && !HasFailure(); ++at) {
+      std::string mutant = line;
+      for (int byte = 0; byte < 256; ++byte) {
+        mutant[at] = static_cast<char>(byte);
+        expect_readers_agree(mutant, reused, fast);
+      }
+    }
+  }
+  EXPECT_GT(fast, lines.size());
+}
+
+// ---------------------------------------------------------------------------
+// The `outcome` writer against a DOM render of the same members.
+// ---------------------------------------------------------------------------
+
+std::string dom_outcome(std::string_view tenant, std::size_t t, double move, double service,
+                        const core::SessionProgress& progress,
+                        const std::vector<sim::Point>& positions, bool lean) {
+  io::Json doc = io::Json::object();
+  doc.set("type", "outcome");
+  doc.set("tenant", tenant);
+  doc.set("t", t);
+  doc.set("move", move);
+  doc.set("service", service);
+  doc.set("move_total", progress.move_cost);
+  doc.set("service_total", progress.service_cost);
+  doc.set("total", progress.total_cost);
+  if (!lean) {
+    io::Json list = io::Json::array();
+    for (const sim::Point& p : positions) {
+      io::Json coords = io::Json::array();
+      for (int i = 0; i < p.dim(); ++i) coords.push_back(p[i]);
+      list.push_back(std::move(coords));
+    }
+    doc.set("positions", std::move(list));
+  }
+  return doc.dump();
+}
+
+/// awkward_double plus both zeros, the ledger's 1.4999999999999996 and
+/// doubles spread over the whole exponent range.
+double outcome_double(stats::Rng& rng) {
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      return rng.coin() ? 0.0 : -0.0;
+    case 1:
+      return 1.4999999999999996;
+    case 2:
+      return (rng.coin() ? 1.0 : -1.0) *
+             std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(rng.uniform_int(-1074, 1023)));
+    default:
+      return awkward_double(rng);
+  }
+}
+
+TEST(ServeFrames, OutcomeWriterMatchesTheDomOracle) {
+  stats::Rng rng(0x0C0E);
+  std::string out;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string tenant = hostile_name(rng);
+    const std::size_t t = awkward_count(rng);
+    const double move = outcome_double(rng);
+    const double service = outcome_double(rng);
+    core::SessionStats stats;
+    stats.steps = awkward_count(rng);
+    stats.move_cost = outcome_double(rng);
+    stats.service_cost = outcome_double(rng);
+    stats.total_cost = outcome_double(rng);
+    const int dim = static_cast<int>(rng.uniform_int(1, 3));
+    for (std::int64_t k = rng.uniform_int(1, 4); k > 0; --k) {
+      sim::Point p(dim);
+      for (int d = 0; d < dim; ++d) p[d] = outcome_double(rng);
+      stats.positions.push_back(p);
+    }
+    const core::SessionProgress progress = {stats.steps, stats.move_cost, stats.service_cost,
+                                            stats.total_cost, 0};
+    for (const bool lean : {false, true}) {
+      const std::string expected = dom_outcome(tenant, t, move, service, progress,
+                                               stats.positions, lean);
+      // append_outcome appends: the line lands after whatever was there.
+      out = "prefix\n";
+      serve::append_outcome(out, tenant, t, move, service, progress, stats.positions, lean);
+      ASSERT_EQ(out, "prefix\n" + expected);
+      ASSERT_EQ(serve::outcome_frame(tenant, t, move, service, stats, lean), expected);
+    }
+  }
+}
+
+TEST(ServeFrames, OutcomeLinesArePinned) {
+  std::string lean;
+  serve::append_outcome(lean, "t7", 41, 1.4999999999999996, 0.25, {42, 10.5, 3.0, 13.5, 0}, {},
+                        true);
+  EXPECT_EQ(lean,
+            R"({"type":"outcome","tenant":"t7","t":41,"move":1.4999999999999996,)"
+            R"("service":0.25,"move_total":10.5,"service_total":3,"total":13.5})");
+  const std::vector<sim::Point> fleet = {geo::Point{-0.0, 1e-310}, geo::Point{2.5, -3.0}};
+  std::string full;
+  serve::append_outcome(full, "a\"b", 0, -0.0, 5e-324, {1, 0.0, 1e300, 1e300, 0}, fleet, false);
+  EXPECT_EQ(full,
+            R"({"type":"outcome","tenant":"a\"b","t":0,"move":-0,"service":5e-324,)"
+            R"("move_total":0,"service_total":1e+300,"total":1e+300,)"
+            R"("positions":[[-0,1e-310],[2.5,-3]]})");
+}
+
 }  // namespace
 }  // namespace mobsrv
